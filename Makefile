@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test verify lint telemetry-demo bench bench-quick bench-sweep bench-replay bench-fleet bench-serve serve-soak serve-shard-soak experiments examples clean
+.PHONY: install test verify lint telemetry-demo bench bench-quick bench-sweep bench-replay bench-fleet bench-serve perfbench perfbench-test serve-soak serve-shard-soak experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -74,6 +74,19 @@ bench-fleet:
 bench-serve:
 	PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-disable \
 		benchmarks/test_serve_latency.py
+
+# The repository benchmark (perfbench/README.md): one workload, one
+# seed, end-to-end metrics as the last output line.  Override W and
+# SEED, e.g. `make perfbench W=fleet SEED=3`.
+W ?= sweep
+SEED ?= 1
+perfbench:
+	$(PYTHON) perfbench/run.py --workload $(W) --seed $(SEED) --seconds 30
+
+# The benchmark's own tests, including a quick-scale run of each
+# workload with its correctness gates (about a minute).
+perfbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest -q perfbench/tests
 
 # Fault soak: SIGKILL a live repro-serve daemon mid-trace (twice),
 # inject malformed lines, resume from snapshots, and exit non-zero

@@ -12,8 +12,9 @@ costs (Eqs. 6–7)::
 ``T`` (how far ahead the IAT estimates are trusted) is the cache age —
 the paper's choice, which "yielded highest efficiencies".  Inter-arrival
 times are EWMA-tracked per chunk (Eq. 8, gamma = 0.25) and chunks are
-ordered by the virtual-timestamp key of Eq. 9 in a binary-tree set
-(Theorem 1 guarantees the order stays valid over time).
+ordered by the virtual-timestamp key of Eq. 9 in a heap-ordered set
+(:class:`~repro.structures.scoreheap.ScoreHeap`; Theorem 1 guarantees
+the order stays valid over time).
 
 Two further paper details are implemented:
 
@@ -39,8 +40,8 @@ Implementation notes beyond the paper's text (documented substitutions):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from math import isinf
 from typing import Dict, List, Optional
 
 from repro.core.base import (
@@ -51,9 +52,8 @@ from repro.core.base import (
     VideoCache,
     serve_response,
 )
-from repro.core import kernels
 from repro.core.costs import CostModel
-from repro.structures.ewma import EwmaIat, IatEstimator
+from repro.structures.ewma import EwmaIat, IatEstimator, iat_at
 from repro.structures.lru import AccessRecencyList
 from repro.structures.scoreheap import ScoreHeap
 from repro.trace.requests import DEFAULT_CHUNK_BYTES, ChunkId, Request
@@ -140,74 +140,161 @@ class CafeCache(VideoCache):
     def handle_span(
         self, t: float, video: int, b0: int, b1: int, c0: int, c1: int
     ) -> CacheResponse:
+        """Cafe's one decision path, for every lane.
+
+        Exact shortcuts over the plain reading of Eqs. 6-9 (DESIGN.md
+        §12 gives each one's argument): one sibling scan per request for
+        the unseen-chunk estimate, an early redirect when ``|S'| * C_F``
+        alone exceeds E[redirect] and no probe wants the margin, and the
+        EWMA, ghost and sibling-set bookkeeping inlined over locals.
+        """
         now = t
         probe = self.probe
-        chunks = [(video, c) for c in range(c0, c1 + 1)]
+        stats = self._stats
+        gamma = stats.gamma
+        cached = self._cached
+        index = cached.raw_index()
+        insert = cached.insert
+        ghosts = self._ghosts
+        gentries = ghosts.raw_entries()
 
         # Popularity tracking happens regardless of the decision (like
         # xLRU's tracker update before its admission test): fold the
-        # access into each chunk's EWMA, then re-key cached chunks.
-        stats = self._stats
-        cached = self._cached
-        ghosts = self._ghosts
-        gamma = stats.gamma
-        for chunk in chunks:
-            state = stats.record(chunk, now)
-            if chunk in cached:
-                cached.insert(chunk, state.key(gamma))
-            elif chunk in ghosts:
-                ghosts.touch(chunk, now)
+        # access into each chunk's EWMA (Eq. 8, EwmaIat.update inlined),
+        # re-key cached chunks (Eq. 9), refresh ghosts, and collect the
+        # missing set S' on the way.
+        get = stats.get
+        missing = []
+        for c in range(c0, c1 + 1):
+            chunk = (video, c)
+            state = get(chunk)
+            if state is None:
+                state = stats[chunk] = EwmaIat(_INF, now)
+            else:
+                dt = state.dt
+                if isinf(dt):
+                    state.dt = now - state.t_last
+                else:
+                    state.dt = gamma * (now - state.t_last) + (1.0 - gamma) * dt
+                state.t_last = now
+            if chunk in index:
+                dt = state.dt
+                insert(chunk, -_INF if isinf(dt) else gamma * now - (1.0 - gamma) * dt)
+            else:
+                missing.append(chunk)
+                if chunk in gentries:
+                    ghosts.touch(chunk, now)
 
-        if len(chunks) > self.disk_chunks:
-            self._note_ghosts(chunks, now)
-            if probe is not None:
-                probe.on_redirect(now, "oversized")
-            return REDIRECT
-
-        missing = [c for c in chunks if c not in cached]
+        if c1 - c0 >= self.disk_chunks:
+            return self._redirect(missing, now, "oversized")
         if not missing:
             # Pure hit: serving costs 0, which can never lose.
             if probe is not None:
                 probe.on_serve(now, 0, 0)
             return SERVE_HIT
 
+        cost_model = self.cost_model
         horizon = self._horizon if self._horizon is not None else self.cache_age(now)
-        future_unit = self.cost_model.future_cost
+        future_unit = cost_model.future_cost
 
-        free = self.disk_chunks - len(cached)
-        n_evict = max(0, len(missing) - free)
-        victims = cached.n_smallest(n_evict, exclude=set(chunks))
-
-        cost_serve = len(missing) * self.cost_model.fill_cost
-        for chunk, _key in victims:
-            cost_serve += _future_term(stats.iat(chunk, now), horizon) * future_unit
-
-        cost_redirect = len(chunks) * self.cost_model.redirect_cost
-        if probe is None:
-            for chunk in missing:
-                cost_redirect += _future_term(self._estimate_iat(chunk, now), horizon) * future_unit
-        else:
-            # Probe lane: identical arithmetic, but each estimate is
-            # classified (own history / video fallback / cold) so the
-            # IAT-estimator health counters reflect the decision path.
-            for chunk in missing:
-                iat, source = self._estimate_iat_traced(chunk, now)
-                probe.on_iat_estimate(source)
-                cost_redirect += _future_term(iat, horizon) * future_unit
-            probe.on_margin(cost_redirect - cost_serve)
-
-        if cost_serve > cost_redirect:
-            self._note_ghosts(chunks, now)
+        # E[redirect] (Eq. 7).  A missing chunk without history of its
+        # own takes the video estimate; nothing mutates between missing
+        # chunks, so one lazy sibling scan serves them all.
+        cost_redirect = (c1 - c0 + 1) * cost_model.redirect_cost
+        use_video = self._use_video_estimate
+        siblings = self._video_chunks.get(video)
+        scan = None
+        for chunk in missing:
+            state = stats[chunk]
+            iat = iat_at(state.dt, state.t_last, now, gamma)
+            source = "own"
+            if isinf(iat):
+                source = "cold"
+                if use_video and siblings:
+                    if scan is None:
+                        scan = _worst_sibling(stats, index, video, siblings, now)
+                    iat = scan[0]
+                    if not isinf(iat):
+                        source = "video"
             if probe is not None:
-                probe.on_redirect(now, "cost")
-            return REDIRECT
+                probe.on_iat_estimate(source)
+            cost_redirect += _future_term(iat, horizon) * future_unit
 
+        # E[serve] (Eq. 6) starts at |S'| * C_F and every victim term
+        # only adds to it, so without a probe to report the margin a
+        # request that already loses on fills alone skips victim
+        # selection.
+        cost_serve = len(missing) * cost_model.fill_cost
+        if probe is None and cost_serve > cost_redirect:
+            return self._redirect(missing, now, "cost")
+        n_evict = len(missing) - (self.disk_chunks - len(index))
+        victims = (
+            cached.n_smallest(n_evict, exclude={(video, c) for c in range(c0, c1 + 1)})
+            if n_evict > 0
+            else []
+        )
+        for chunk, _key in victims:
+            state = stats[chunk]
+            iat = iat_at(state.dt, state.t_last, now, gamma)
+            cost_serve += _future_term(iat, horizon) * future_unit
+        if probe is not None:
+            probe.on_margin(cost_redirect - cost_serve)
+        if cost_serve > cost_redirect:
+            return self._redirect(missing, now, "cost")
+
+        # Evict S''; a victim's history stays on as a ghost unless
+        # ghost_factor is 0.
+        video_chunks = self._video_chunks
+        keep_ghosts = self._max_ghosts > 0
         for chunk, _key in victims:
             if probe is not None:
                 probe.on_evict(now, chunk, stats[chunk].t_last)
-            self._evict(chunk, now)
+            cached.remove(chunk)
+            v, c = chunk
+            numbers = video_chunks.get(v)
+            if numbers is not None:
+                numbers.discard(c)
+                if not numbers:
+                    del video_chunks[v]
+            if keep_ghosts:
+                ghosts.touch(chunk, now)
+            else:
+                del stats[chunk]
+            if scan is not None and v == video and c == scan[2]:
+                scan = None
+
+        # Admit S'.  The scan above still names the video's first
+        # minimum-key chunk unless it was evicted, it tied, or an
+        # admitted sibling keyed at or below it.
         for chunk in missing:
-            self._admit(chunk, now)
+            state = stats[chunk]
+            dt = state.dt
+            if isinf(dt):
+                # First fill with no IAT sample: seed with the estimate
+                # the admission decision used, falling back to the
+                # cache age.
+                dt = _INF
+                if use_video:
+                    numbers = video_chunks.get(video)
+                    if numbers:
+                        if scan is None or scan[3]:
+                            scan = _worst_sibling(stats, index, video, numbers, now)
+                        dt = scan[0]
+                if isinf(dt):
+                    dt = self.cache_age(now)
+                if isinf(dt):
+                    dt = 1.0
+                state.dt = dt
+            key = -_INF if isinf(dt) else gamma * state.t_last - (1.0 - gamma) * dt
+            insert(chunk, key)
+            if chunk in gentries:
+                del gentries[chunk]
+            numbers = video_chunks.get(video)
+            if numbers is None:
+                numbers = video_chunks[video] = set()
+            numbers.add(chunk[1])
+            if scan is not None and not key > scan[1]:
+                scan = None
         self._collect_ghosts()
         if probe is not None:
             for chunk in missing:
@@ -216,62 +303,25 @@ class CafeCache(VideoCache):
         return serve_response(len(missing), len(victims))
 
     def handle_span_block_kernel(self, block) -> "tuple[list, list]":
-        """Pure-hit pre-screen over one packed block.
+        """The block walk over :meth:`handle_span`, plus the miss indices.
 
-        A span fully resident at block start stays resident until the
-        first in-block eviction (fills only add chunks), and a pure hit
-        takes one fixed mutation path in :meth:`handle_span`: fold the
-        access into each chunk's EWMA and re-key it in the frequency
-        set — the ghost branch is unreachable (cached and ghost sets
-        are disjoint), the oversized branch impossible (a span larger
-        than the disk cannot be fully resident) and the cost comparison
-        is skipped entirely (serving costs zero).  Screened requests
-        therefore run exactly that grouped record/re-key loop; the
-        first eviction demotes the remaining screened hits back to the
-        scalar walk.  Observably identical to
-        :meth:`handle_span_block` (the fallback when the block is not
-        vectorized or a probe is attached).
+        Cafe has no numpy pre-screen: a hit screen holds only until the
+        first in-block eviction, which Cafe reaches early in nearly
+        every block (DESIGN.md §12).  The override exists so the kernel
+        lane keeps the whole-block ``record_packed_block`` accounting.
         """
-        if self.probe is not None or not block.vectorized:
-            return VideoCache.handle_span_block_kernel(self, block)
-        uniq, _order, _starts = block.video_groups()
-        arrays = kernels.residency_arrays(uniq, self._video_chunks)
-        counts = kernels.span_resident_counts(block, arrays)
-        screen = (counts == (block.c1s - block.c0s + 1)).tolist()
-
-        stats = self._stats
-        record = stats.record
-        gamma = stats.gamma
-        insert = self._cached.insert
-        handle_span = self.handle_span
-        responses: list = []
-        append = responses.append
-        misses: list = []
-        miss = misses.append
-        hits_valid = True
-        i = -1
-        for t, video, b0, b1, c0, c1 in zip(
-            block.ts_l,
-            block.videos_l,
-            block.b0s_l,
-            block.b1s_l,
-            block.c0s_l,
-            block.c1s_l,
-        ):
-            i += 1
-            if hits_valid and screen[i]:
-                for c in range(c0, c1 + 1):
-                    chunk = (video, c)
-                    insert(chunk, record(chunk, t).key(gamma))
-                append(SERVE_HIT)
-                continue
-            response = handle_span(t, video, b0, b1, c0, c1)
-            if response.evicted_chunks:
-                hits_valid = False
-            append(response)
-            if response is not SERVE_HIT:
-                miss(i)
-        return responses, misses
+        responses = list(
+            map(
+                self.handle_span,
+                block.ts_l,
+                block.videos_l,
+                block.b0s_l,
+                block.b1s_l,
+                block.c0s_l,
+                block.c1s_l,
+            )
+        )
+        return responses, [i for i, r in enumerate(responses) if r is not SERVE_HIT]
 
     def __contains__(self, chunk: ChunkId) -> bool:
         return chunk in self._cached
@@ -310,11 +360,11 @@ class CafeCache(VideoCache):
             return self._stats.iat(chunk, now)
 
         def shadow_estimate(chunk: ChunkId) -> float:
-            # _estimate_iat, but against post-update (shadow) sibling
-            # stats — handle() records the whole request before
-            # estimating, so the sibling keys it scans are fresh
+            # handle_span's missing-chunk estimate, against post-update
+            # (shadow) sibling stats — it records the whole request
+            # before estimating, so the sibling keys it scans are fresh
             own = shadow_iat(chunk)
-            if not math.isinf(own):
+            if not isinf(own):
                 return own
             if not self._use_video_estimate:
                 return _INF
@@ -432,98 +482,53 @@ class CafeCache(VideoCache):
         """Evicted/redirected chunks whose IAT history is retained."""
         return len(self._ghosts)
 
-    def _estimate_iat(self, chunk: ChunkId, now: float) -> float:
-        """IAT for a missing chunk: own history, else the video estimate.
-
-        The video estimate is "the largest recorded IAT among the
-        existing chunks" of the chunk's video (Section 6).  By
-        Theorem 1, the largest-IAT cached chunk of a video is the one
-        with the smallest virtual key, so a key scan suffices.
-        """
-        own = self._stats.iat(chunk, now)
-        if not math.isinf(own):
-            return own
-        if not self._use_video_estimate:
-            return _INF
-        video = chunk[0]
-        siblings = self._video_chunks.get(video)
-        if not siblings:
-            return _INF
-        worst = min(
-            ((video, c) for c in siblings),
-            key=lambda ch: self._cached.score(ch),
-        )
-        return self._stats.iat(worst, now)
-
-    def _estimate_iat_traced(self, chunk: ChunkId, now: float) -> tuple:
-        """:meth:`_estimate_iat` plus the estimate's provenance.
-
-        Returns ``(iat, source)`` with ``source`` one of ``"own"``,
-        ``"video"`` (the unseen-chunk max-IAT fallback) or ``"cold"``.
-        Kept separate from :meth:`_estimate_iat` so the probe-free hot
-        path never allocates the tuple; the arithmetic is identical.
-        """
-        own = self._stats.iat(chunk, now)
-        if not math.isinf(own):
-            return own, "own"
-        if not self._use_video_estimate:
-            return _INF, "cold"
-        video = chunk[0]
-        siblings = self._video_chunks.get(video)
-        if not siblings:
-            return _INF, "cold"
-        worst = min(
-            ((video, c) for c in siblings),
-            key=lambda ch: self._cached.score(ch),
-        )
-        iat = self._stats.iat(worst, now)
-        return iat, ("video" if not math.isinf(iat) else "cold")
-
-    def _admit(self, chunk: ChunkId, now: float) -> None:
-        state = self._stats[chunk]
-        if math.isinf(state.dt):
-            # First fill with no IAT sample: seed with the estimate the
-            # admission decision used, falling back to the cache age.
-            seed = self._estimate_iat(chunk, now)
-            if math.isinf(seed):
-                seed = self.cache_age(now)
-            if math.isinf(seed):
-                seed = 1.0
-            state.dt = seed
-        self._cached.insert(chunk, state.key(self._stats.gamma))
-        self._ghosts.discard(chunk)
-        self._video_chunks.setdefault(chunk[0], set()).add(chunk[1])
-
-    def _evict(self, chunk: ChunkId, now: float) -> None:
-        self._cached.remove(chunk)
-        siblings = self._video_chunks.get(chunk[0])
-        if siblings is not None:
-            siblings.discard(chunk[1])
-            if not siblings:
-                del self._video_chunks[chunk[0]]
-        if self._max_ghosts > 0:
-            self._ghosts.touch(chunk, now)
-        else:
-            del self._stats[chunk]
-
-    def _note_ghosts(self, chunks: list[ChunkId], now: float) -> None:
-        """Track redirected, uncached chunks as ghosts so their history
-        survives until cleanup."""
+    def _redirect(self, missing: list, now: float, reason: str) -> CacheResponse:
+        """Redirect, keeping the history of the uncached requested
+        chunks (``missing``) as ghosts until cleanup."""
         if self._max_ghosts <= 0:
-            for chunk in chunks:
-                if chunk not in self._cached:
-                    self._stats.pop(chunk, None)
-            return
-        for chunk in chunks:
-            if chunk not in self._cached and chunk not in self._ghosts:
-                self._ghosts.touch(chunk, now)
-        self._collect_ghosts()
+            pop = self._stats.pop
+            for chunk in missing:
+                pop(chunk, None)
+        else:
+            gentries = self._ghosts.raw_entries()
+            fresh = [chunk for chunk in missing if chunk not in gentries]
+            if fresh:
+                self._ghosts.touch_all(fresh, now)
+            self._collect_ghosts()
+        if self.probe is not None:
+            self.probe.on_redirect(now, reason)
+        return REDIRECT
 
     def _collect_ghosts(self) -> None:
         """Bound ghost history, recycling least recently seen records."""
-        while len(self._ghosts) > self._max_ghosts:
-            chunk, _t = self._ghosts.pop_oldest()
-            self._stats.pop(chunk, None)
+        excess = len(self._ghosts) - self._max_ghosts
+        if excess > 0:
+            pop = self._stats.pop
+            for chunk, _t in self._ghosts.pop_oldest_n(excess):
+                pop(chunk, None)
+
+
+def _worst_sibling(stats, index, video: int, numbers: set, now: float) -> tuple:
+    """The unseen-chunk video estimate: the least popular cached chunk
+    of ``video`` (Section 6).
+
+    By Theorem 1 the largest-IAT chunk is the smallest-key one, so this
+    scans the chunk numbers ``numbers`` for the first minimum key in set
+    iteration order — the chunk ``min(..., key=score)`` would pick.
+    Returns ``(iat, key, number, tied)``, ``tied`` meaning another
+    chunk shares that key (then the pick depends on iteration order).
+    """
+    it = iter(numbers)
+    best = next(it)
+    best_key = index[(video, best)][0]
+    tied = False
+    for c in it:
+        key = index[(video, c)][0]
+        if key < best_key:
+            best, best_key, tied = c, key, False
+        elif key == best_key:
+            tied = True
+    return stats.iat((video, best), now), best_key, best, tied
 
 
 def _future_term(iat: float, horizon: float) -> float:
@@ -535,8 +540,8 @@ def _future_term(iat: float, horizon: float) -> float:
     An IAT of zero (same-timestamp repeats) means "maximally popular" —
     clamped so the term stays a large finite number.
     """
-    if math.isinf(iat):
+    if isinf(iat):
         return 0.0
-    if math.isinf(horizon):
+    if isinf(horizon):
         return _INF
     return horizon / max(iat, 1e-9)

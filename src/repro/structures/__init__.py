@@ -5,10 +5,10 @@ The paper (Sections 5 and 6) prescribes two container shapes:
 * An access-recency list — a linked list of entries in sorted access-time
   order plus a hash map for O(1) lookup — used by the xLRU popularity
   tracker and the xLRU disk cache (:class:`AccessRecencyList`).
-* A binary-tree set ordered by virtual-timestamp keys plus a hash map,
-  used by Cafe Cache where re-insertions happen at arbitrary key
-  positions (:class:`TreapMap`, and the observably identical
-  heap-backed :class:`ScoreHeap` the hot caches use).
+* A set ordered by virtual-timestamp keys plus a hash map, used by
+  Cafe Cache where re-insertions happen at arbitrary key positions:
+  the heap-backed :class:`ScoreHeap` the caches use, and the binary
+  tree :class:`TreapMap` it is tested against.
 
 It also prescribes per-chunk exponentially weighted moving-average
 inter-arrival-time tracking (Eq. 8) with the virtual-timestamp key of
