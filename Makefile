@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test verify lint telemetry-demo bench bench-quick bench-sweep bench-replay bench-fleet bench-serve perfbench perfbench-test serve-soak serve-shard-soak experiments examples clean
+.PHONY: install test verify lint telemetry-demo bench bench-quick bench-replay bench-fleet bench-serve perfbench perfbench-test serve-soak serve-shard-soak experiments examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -11,11 +11,13 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Tier-1 gate: the full unit/integration suite against the in-tree
-# sources (no install needed), plus a sweep-scheduler smoke bench.
+# sources (no install needed), plus the quick replay bench, which
+# asserts identical totals across its seed, object, packed and
+# parallel modes.
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q tests/
 	REPRO_SCALE=quick PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-disable \
-		benchmarks/test_perf_caches.py::test_sweep_throughput
+		benchmarks/test_replay_throughput.py
 
 # Static checks (same commands the CI lint job runs; needs ruff).
 lint:
@@ -49,12 +51,6 @@ bench:
 
 bench-quick:
 	REPRO_SCALE=quick $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Sweep-throughput comparison (seed vs single-pass vs parallel); writes
-# BENCH_sweep.json at the repo root.
-bench-sweep:
-	PYTHONPATH=src $(PYTHON) -m pytest -q --benchmark-disable \
-		benchmarks/test_perf_caches.py::test_sweep_throughput
 
 # Replay-throughput comparison (seed loop vs object path vs packed
 # columnar lane vs parallel sweep); writes BENCH_replay.json.

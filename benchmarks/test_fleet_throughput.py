@@ -7,8 +7,9 @@ replayed through ``CdnSimulator`` two ways over the same workload:
   ``heapq`` per replay (the PR-5 path);
 * ``packed_fleet`` — per-edge :class:`~repro.trace.columnar.PackedTrace`
   shards inside a :class:`~repro.trace.fleet.FleetTrace`, replayed via
-  the precomputed merge plan and the shard-batched ``handle_span_block``
-  lane.
+  the precomputed merge plan and the shard-batched lane (one call of
+  each edge cache's ``handle_span_block_kernel`` block entry per
+  shard).
 
 Both lanes must be byte-identical (fingerprints compared, with and
 without a fault schedule); the throughput comparison and the peak-RSS

@@ -5,17 +5,12 @@ Measures handled requests per second on a slice of the European trace
 size by it for req/s).  xLRU should be fastest (two O(1) structures),
 Cafe and Psychic pay their O(log n) tree and future-index costs.
 
-``test_sweep_throughput`` benches a whole experiment matrix (3
-algorithms x 4 alphas) three ways — the seed's per-cell replay, the
-single-pass broadcast scheduler and the process-pool path — verifies
-they agree exactly, and writes the comparison to ``BENCH_sweep.json``.
+``_seed_matrix`` replays a config matrix the way the seed's
+``run_matrix`` did — one sequential loop per cell — for the replay
+bench's seed-serial mode (``test_replay_throughput.py``).
 """
 
-import json
 import math
-import os
-import time
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +21,6 @@ from repro.core.psychic import PsychicCache
 from repro.core.xlru import XlruCache
 from repro.experiments.common import scaled_disk_chunks, server_trace
 from repro.sim.metrics import IntervalSample, MetricsCollector, _MutableCounters
-from repro.sim.runner import RunConfig, run_matrix
 
 SLICE = 5_000
 ALPHA = 2.0
@@ -87,11 +81,7 @@ def test_throughput_psychic_prepare(benchmark, trace, disk):
     benchmark(cache.prepare, trace)
 
 
-# -- sweep throughput: seed per-cell replay vs the layered scheduler ----------
-
-SWEEP_ALGOS = ("xLRU", "PullLRU", "LFU")
-SWEEP_ALPHAS = (0.5, 1.0, 2.0, 4.0)
-SWEEP_ROUNDS = 3
+# -- the seed's per-cell replay, the replay bench's baseline mode ------------
 
 
 class _SeedCollector(MetricsCollector):
@@ -148,96 +138,3 @@ def _seed_matrix(configs, trace):
             metrics.record(request, cache.handle(request))
         results[config.key] = metrics
     return results
-
-
-def _best_of(fn, rounds=SWEEP_ROUNDS):
-    best, result = math.inf, None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
-
-
-def test_sweep_throughput(benchmark, report, strict, scale, trace, disk):
-    """Seed vs single-pass vs parallel on a 3-algo x 4-alpha matrix.
-
-    Acceptance: the single-pass scheduler must be at least 2x faster
-    than the seed's per-cell ``run_matrix`` (enforced at FULL/PAPER
-    scale), with byte-identical results in every mode.
-    """
-    configs = [
-        RunConfig(algo, disk, alpha, label=f"a={alpha:g}/{algo}")
-        for algo in SWEEP_ALGOS
-        for alpha in SWEEP_ALPHAS
-    ]
-
-    seed_seconds, seed_results = _best_of(lambda: _seed_matrix(configs, trace))
-    single_seconds, single_results = _best_of(
-        lambda: run_matrix(configs, trace, mode="serial")
-    )
-    parallel_seconds, parallel_results = _best_of(
-        lambda: run_matrix(configs, trace, mode="parallel", workers=2)
-    )
-
-    # exactness first: every mode must reproduce the seed's numbers
-    for config in configs:
-        expected = seed_results[config.key].totals()
-        assert single_results[config.key].totals == expected, config.key
-        assert parallel_results[config.key].totals == expected, config.key
-
-    # keep the broadcast path in the pytest-benchmark table too
-    benchmark.pedantic(
-        lambda: run_matrix(configs, trace, mode="serial"), rounds=SWEEP_ROUNDS
-    )
-    benchmark.extra_info["cells"] = len(configs)
-    benchmark.extra_info["requests_per_round"] = len(trace)
-
-    speedup_single = seed_seconds / single_seconds
-    speedup_parallel = seed_seconds / parallel_seconds
-    payload = {
-        "bench": "sweep_throughput",
-        "scale": scale.name,
-        "cpu_count": os.cpu_count(),
-        "trace_requests": len(trace),
-        "disk_chunks": disk,
-        "cells": len(configs),
-        "algorithms": list(SWEEP_ALGOS),
-        "alphas": list(SWEEP_ALPHAS),
-        "rounds": SWEEP_ROUNDS,
-        "modes": {
-            "seed_serial": {
-                "seconds": seed_seconds,
-                "requests_per_second": len(trace) / seed_seconds,
-                "speedup_vs_seed": 1.0,
-            },
-            "single_pass": {
-                "seconds": single_seconds,
-                "requests_per_second": len(trace) / single_seconds,
-                "speedup_vs_seed": speedup_single,
-            },
-            "parallel_2_workers": {
-                "seconds": parallel_seconds,
-                "requests_per_second": len(trace) / parallel_seconds,
-                "speedup_vs_seed": speedup_parallel,
-            },
-        },
-    }
-    out_path = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    report(
-        f"sweep throughput ({len(configs)} cells, {len(trace)} requests, "
-        f"{os.cpu_count()} CPUs):",
-        f"  seed per-cell : {seed_seconds:.3f}s",
-        f"  single-pass   : {single_seconds:.3f}s ({speedup_single:.2f}x)",
-        f"  parallel (2w) : {parallel_seconds:.3f}s ({speedup_parallel:.2f}x)",
-        f"  wrote {out_path.name}",
-    )
-
-    assert max(speedup_single, speedup_parallel) > 1.0
-    if strict:
-        assert max(speedup_single, speedup_parallel) >= 2.0, (
-            f"single-pass {speedup_single:.2f}x / parallel "
-            f"{speedup_parallel:.2f}x; expected >= 2x over seed run_matrix"
-        )

@@ -24,13 +24,14 @@ Two replay lanes produce byte-identical results:
   step at a time (any mapping of request iterables, validated on the
   fly during the merge walk);
 * the **packed lane** (a :class:`~repro.trace.fleet.FleetTrace`, or a
-  mapping of :class:`~repro.trace.columnar.PackedTrace` shards) replays
-  the precomputed merge plan run by run, batching each same-edge run
-  through the cache's ``handle_span`` hot path.  When no faults are
-  scheduled and no redirect/fill chain can revisit a server (any
-  hierarchy qualifies; peered rings do not), whole runs are dispatched
-  at C speed; otherwise the packed columns are walked per request,
-  preserving fault semantics exactly.
+  mapping of :class:`~repro.trace.columnar.PackedTrace` shards).  When
+  no faults are scheduled and no redirect/fill chain can revisit a
+  server (any hierarchy qualifies; peered rings do not), each edge's
+  whole shard goes through one call of the cache's block entry
+  (``handle_span_block_kernel``), and the hops its miss list names are
+  walked level by level, one block-entry call per upstream buffer;
+  otherwise the precomputed merge plan is walked per request through
+  ``handle_span``, preserving fault semantics exactly.
 
 A :class:`~repro.cdn.faults.FaultSchedule` can be injected to model
 server outages, cold restarts (cache wipes), degraded ingress links
@@ -56,7 +57,8 @@ from repro.sim.instrumentation import (
     StageTimer,
 )
 from repro.sim.metrics import MetricsCollector, TrafficSummary
-from repro.trace.columnar import PackedTrace, _np
+from repro.sim.engine import _block_entry, _kernels_enabled
+from repro.trace.columnar import PackedTrace, pack_trace, request_block
 from repro.trace.fleet import FleetTrace
 from repro.trace.requests import Request
 from repro.cdn.faults import FaultRuntime, FaultSchedule, ServerAvailability
@@ -192,8 +194,9 @@ class CdnSimulator:
         — including one-shot generators, whose lengths are unknown
         (progress callbacks then receive ``total=None``).  All forms
         produce byte-identical results; the packed forms replay through
-        the batched ``handle_span`` lane.  Unsorted traces fail fast
-        during the merge walk with the offending edge and index.
+        the caches' block entries unless faults or a hop cycle forbid
+        it.  Unsorted traces fail fast during the merge walk with the
+        offending edge and index.
         """
         fleet: Optional[FleetTrace] = None
         if isinstance(edge_traces, FleetTrace):
@@ -309,78 +312,54 @@ class CdnSimulator:
     ) -> str:
         """Replay a packed fleet; returns the lane name for the report.
 
-        Per edge, the shard's hot columns are adapted once to the edge
-        cache's chunk size; the precomputed merge plan then drives
-        either the run-batched lane (fault-free and no redirect/fill
-        cycle — whole same-edge runs through ``handle_span`` +
-        ``record_packed``) or the per-request lane (faults or cyclic
-        wiring — scalar ``_handle_span`` walk in exact merged order).
+        Per edge, the shard is rechunked once to the edge cache's chunk
+        size; the precomputed merge plan then drives either the
+        shard-batched lane (fault-free and no redirect/fill cycle —
+        each whole shard through the cache's block entry) or the
+        per-request lane (faults or cyclic wiring — scalar
+        ``_handle_span`` walk in exact merged order).
         """
+        kernels_on = _kernels_enabled()
         lanes = []
         for name in fleet.names:
-            shard = fleet.shards[name]
             server = self.topology[name]
             cache = server.cache
-            ts, videos, b0s, b1s, c0s, c1s, num_bytes, num_chunks = (
-                shard.hot_columns()
-            )
-            k = cache.chunk_bytes
-            columnar = _np is not None and isinstance(
-                shard.column("t"), _np.ndarray
-            )
-            if k != shard.chunk_bytes:
-                # Re-derive the chunk columns under the cache's chunking.
-                if columnar:
-                    c0_arr = shard.column("b0") // k
-                    c1_arr = shard.column("b1") // k
-                    nc_arr = c1_arr - c0_arr + 1
-                    c0s = c0_arr.tolist()
-                    c1s = c1_arr.tolist()
-                    num_chunks = nc_arr.tolist()
-                else:
-                    c0s = [b // k for b in b0s]
-                    c1s = [b // k for b in b1s]
-                    num_chunks = [hi - lo + 1 for lo, hi in zip(c0s, c1s)]
-            elif columnar:
-                nc_arr = shard.column("num_chunks")
-            # (t, num_bytes, num_chunks) as numpy columns for the
-            # vectorized block recorder; None on the fallback backing.
-            block_cols = (
-                (shard.column("t"), shard.column("num_bytes"), nc_arr)
-                if columnar
-                else None
-            )
+            shard = pack_trace(fleet.shards[name], chunk_bytes=cache.chunk_bytes)
+            ts, videos, b0s, b1s, c0s, c1s, num_bytes, _nc = shard.hot_columns()
             lanes.append(
                 (
                     name,
                     server,
-                    cache.handle_span_block,
+                    _block_entry(cache, kernels_on),
                     result.per_server[name],
-                    ts, videos, b0s, b1s, c0s, c1s, num_bytes, num_chunks,
-                    block_cols,
+                    shard,
+                    ts, videos, b0s, b1s, c0s, c1s, num_bytes,
                 )
             )
         if rt is None and self._hops_avoid_traced_edges(fleet.names):
-            self._replay_fleet_batched(lanes, fleet.names, result, ticker)
+            self._replay_fleet_batched(
+                lanes, fleet.names, result, ticker, kernels_on
+            )
             return "packed-batched"
         self._replay_fleet_stepwise(
             lanes, fleet.merge_runs(), result, rt, events, ticker
         )
         return "packed"
 
-    def _replay_fleet_batched(self, lanes, names, result, ticker) -> None:
+    def _replay_fleet_batched(
+        self, lanes, names, result, ticker, kernels_on
+    ) -> None:
         """Shard-batched packed replay (fault-free; hops avoid edges).
 
         Each edge cache sees exactly its own shard (the guard proved no
-        hop chain can deliver extra traffic to a traced edge), so whole
-        shards are dispatched through ``handle_span``/``record_packed``
-        at C speed regardless of how finely the fleet's arrivals
-        interleave.  Only the hop-generating responses — fills and
-        redirects, typically a small minority — are then walked in
-        global merged time order, which is what the shared upstream
-        caches observe; restricting the merged order to hop-generating
-        requests preserves their relative order, so results are
-        byte-identical to the object walk.
+        hop chain can deliver extra traffic to a traced edge), so each
+        whole shard goes through one call of the cache's block entry,
+        whose miss list names the hop-generating responses — fills and
+        redirects, typically a small minority.  Only those are then
+        walked in global merged time order, which is what the shared
+        upstream caches observe; restricting the merged order to
+        hop-generating requests preserves their relative order, so
+        results are byte-identical to the object walk.
         """
         hops_map = result.redirect_hops
         name_rank = {name: r for r, name in enumerate(sorted(names))}
@@ -388,43 +367,35 @@ class CdnSimulator:
         pending = []
         edge_responses = []
         for e, lane in enumerate(lanes):
-            (
-                name, _server, handle_block, collector,
-                ts, videos, b0s, b1s, c0s, c1s, num_bytes, num_chunks,
-                block_cols,
-            ) = lane
-            responses = handle_block(ts, videos, b0s, b1s, c0s, c1s)
-            n_edge = len(ts)
+            name, _server, entry, collector, shard, ts = lane[:6]
+            view = shard.block_view(0, len(shard))
+            responses, misses = entry(view)
+            n_edge = view.n
             count += n_edge
             result.num_user_requests += n_edge
             rank = name_rank[name]
             # (t, position, name-rank) replicates heapq.merge's tie order
-            pend = [
-                (ts[j], j, rank, e)
-                for j, response in enumerate(responses)
-                if response is not SERVE_HIT
-            ]
-            if block_cols is not None:
-                ts_col, nb_col, nc_col = block_cols
+            pending.extend([(ts[j], j, rank, e) for j in misses])
+            if view.vectorized:
                 collector.record_packed_block(
-                    ts_col, nb_col, nc_col, responses,
-                    [item[1] for item in pend],
+                    view.ts, view.num_bytes, view.num_chunks, responses, misses
                 )
-                result.user_requested_bytes += int(nb_col.sum())
+                result.user_requested_bytes += int(view.num_bytes.sum())
             else:
-                collector.record_packed(ts, num_bytes, num_chunks, responses)
-                result.user_requested_bytes += sum(num_bytes)
-            hits = n_edge - len(pend)
+                collector.record_packed(
+                    view.ts_l, view.num_bytes_l, view.num_chunks_l, responses
+                )
+                result.user_requested_bytes += sum(view.num_bytes_l)
+            hits = n_edge - len(misses)
             if hits:
                 hops_map[0] = hops_map.get(0, 0) + hits
-            pending.extend(pend)
             edge_responses.append(responses)
             ticker.tick_batch(count)
         pending.sort()
         order = self._hop_topo_order(names)
         if order is not None:
             self._walk_hops_leveled(
-                lanes, pending, edge_responses, order, result
+                lanes, pending, edge_responses, order, result, kernels_on
             )
         else:
             self._walk_hops_scalar(lanes, pending, edge_responses, result)
@@ -446,9 +417,8 @@ class CdnSimulator:
         serve = Decision.SERVE
         for t, j, _rank, e in pending:
             (
-                _name, server, _handle_block, _collector,
-                _ts, videos, b0s, b1s, c0s, c1s, num_bytes, _num_chunks,
-                _block_cols,
+                _name, server, _entry, _collector, _shard,
+                _ts, videos, b0s, b1s, c0s, c1s, num_bytes,
             ) = lanes[e]
             response = edge_responses[e][j]
             if response.decision is serve:
@@ -478,7 +448,7 @@ class CdnSimulator:
                 hops_map[hops] = hops_map.get(hops, 0) + 1
 
     def _walk_hops_leveled(
-        self, lanes, pending, edge_responses, order, result
+        self, lanes, pending, edge_responses, order, result, kernels_on
     ) -> None:
         """Level-batched hop walk over an acyclic hop subgraph.
 
@@ -488,8 +458,8 @@ class CdnSimulator:
         that server runs, and replaying each buffer in ``seq`` order
         reproduces the object lane's depth-first arrival order exactly
         (chains are independent, each visits a server at most once).
-        Whole buffers then go through ``handle_span_block`` and one
-        ``record_packed`` call per server, instead of one recursive
+        Each whole buffer then goes through one call of the server's
+        block entry and one record call, instead of one recursive
         ``_handle_span`` per hop.
         """
         topology = self.topology
@@ -509,9 +479,8 @@ class CdnSimulator:
             if not picks:
                 continue
             (
-                _name, server, _handle_block, _collector,
-                ts_col, videos, b0s, b1s, c0s, c1s, num_bytes, _num_chunks,
-                _block_cols,
+                _name, server, _entry, _collector, _shard,
+                ts_col, videos, b0s, b1s, c0s, c1s, num_bytes,
             ) = lanes[e]
             responses = edge_responses[e]
             fill_from = server.fill_from
@@ -565,37 +534,20 @@ class CdnSimulator:
                 continue
             cache = server.cache
             k = cache.chunk_bytes
-            n = len(entries)
             seqs, ts, videos, b0s, b1s, nbs, hops, users = (
                 list(col) for col in zip(*entries)
             )
-            if _np is not None:
-                b0_arr = _np.fromiter(b0s, _np.int64, n)
-                b1_arr = _np.fromiter(b1s, _np.int64, n)
-                c0_arr = b0_arr // k
-                c1_arr = b1_arr // k
-                c0s = c0_arr.tolist()
-                c1s = c1_arr.tolist()
-            else:
-                c0s = [b0 // k for b0 in b0s]
-                c1s = [b1 // k for b1 in b1s]
-            responses = cache.handle_span_block(ts, videos, b0s, b1s, c0s, c1s)
-            misses = [
-                i for i, response in enumerate(responses)
-                if response is not SERVE_HIT
-            ]
+            view = request_block(k, ts, videos, b0s, b1s)
+            responses, misses = _block_entry(cache, kernels_on)(view)
             collector = result.per_server[name]
-            if _np is not None:
+            if view.vectorized:
                 collector.record_packed_block(
-                    _np.fromiter(ts, _np.float64, n),
-                    _np.fromiter(nbs, _np.int64, n),
-                    c1_arr - c0_arr + 1,
-                    responses,
-                    misses,
+                    view.ts, view.num_bytes, view.num_chunks, responses, misses
                 )
             else:
-                ncs = [c1s[i] - c0s[i] + 1 for i in range(n)]
-                collector.record_packed(ts, nbs, ncs, responses)
+                collector.record_packed(ts, nbs, view.num_chunks_l, responses)
+            c0s = view.c0s_l
+            c1s = view.c1s_l
             if any(users):
                 # User chains that pure-hit here end with their current
                 # hop count; non-hit serves are accounted below.
@@ -647,9 +599,8 @@ class CdnSimulator:
         count = 0
         for e, start, stop in zip(*runs):
             (
-                name, _server, _handle_span, _collector,
-                ts, videos, b0s, b1s, _c0s, _c1s, num_bytes, _num_chunks,
-                _block_cols,
+                name, _server, _entry, _collector, _shard,
+                ts, videos, b0s, b1s, _c0s, _c1s, num_bytes,
             ) = lanes[e]
             edge = name if faulted else None
             for i in range(start, stop):

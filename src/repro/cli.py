@@ -620,8 +620,8 @@ def main_verify(argv: Optional[Sequence[str]] = None) -> int:
     print(format_table(rows, title=f"differential verification ({args.requests} req/trace)"))
 
     # Kernel-lane equivalence: replay the same adversarial scenarios
-    # through the vectorized block kernels against the scalar block
-    # walk (responses, miss lists, occupancy, metric totals).
+    # through each cache's block entry against the per-request
+    # reference walk (responses, miss lists, occupancy, metric totals).
     kernel_failures = 0
     kernel_algorithms = [a for a in algorithms if a in KERNEL_ALGORITHMS]
     if kernel_algorithms:
@@ -646,7 +646,7 @@ def main_verify(argv: Optional[Sequence[str]] = None) -> int:
         print(
             format_table(
                 kernel_rows,
-                title="kernel-lane equivalence (vectorized vs scalar)",
+                title="kernel-lane equivalence (block walk vs per-request)",
             )
         )
 

@@ -158,52 +158,51 @@ class VideoCache(ABC):
     def handle_span_block(self, ts, videos, b0s, b1s, c0s, c1s) -> list:
         """Handle one block of packed request columns; returns responses.
 
-        The batched replay lanes hand caches whole same-server blocks
-        (columns must be time-sorted) so hot caches can hoist loop
-        invariants — attribute lookups, method binding, structure
-        internals — out of the per-request path.  Overrides MUST be
-        observably identical to this default: same response sequence,
-        same end state, request by request.  The default simply walks
-        :meth:`handle_span`, which keeps every cache correct.
+        The per-request reference walk: :meth:`handle_span` element-wise
+        over time-sorted columns.  No cache overrides it — a cache's
+        hoisted walk lives in :meth:`handle_span_block_kernel` — so it
+        stays independent code to check the hoisted walks against.
         """
         return list(map(self.handle_span, ts, videos, b0s, b1s, c0s, c1s))
 
     def handle_span_block_kernel(self, block) -> "tuple[list, list]":
-        """Vectorized-decision entry point for one packed block.
+        """The block entry point: every packed lane calls this per block.
 
         ``block`` is a :class:`~repro.trace.columnar.BlockView` whose
         chunk columns match this cache's ``chunk_bytes``.  Returns
         ``(responses, misses)``: the per-request responses plus the
         ascending index list of every response that is not the interned
-        ``SERVE_HIT`` — precomputed because kernels know which requests
-        they screened, sparing the accounting layer a full scan
-        (:meth:`~repro.sim.metrics.MetricsCollector.record_packed_block`
-        patches exactly those indices).
+        ``SERVE_HIT`` — the requests the accounting layer patches
+        (:meth:`~repro.sim.metrics.MetricsCollector.record_packed_block`)
+        and the fleet walks upstream.
 
-        Kernel overrides classify as much of the block as possible in
-        whole-column numpy passes (admission pre-screens, residency
-        summaries), apply the induced mutations in batches, and walk
-        only the undecided residue through the scalar per-request code.
-        They MUST be observably identical to :meth:`handle_span_block`
-        — same responses, same end state — and MUST fall back to it
-        when ``block.vectorized`` is false or a telemetry probe is
-        attached (probe hook ordering is per-request).
+        Hot caches override this with one hoisted walk that binds loop
+        invariants — attribute lookups, structure internals — once per
+        block.  On a vectorized view with no telemetry probe attached
+        the walk first applies the cache's numpy screen (admission
+        pre-screens, residency summaries) and skips the per-request
+        work of every request the screen proves; otherwise it runs with
+        every request undecided.  A walk without probe hooks defers
+        here when a probe is attached, since hook order is per-request.
+        Overrides MUST be observably identical to this default — same
+        responses, same misses, same end state, request by request.
 
-        This default is that fallback: the scalar block walk plus a
-        miss scan.
+        This default is that reference: :meth:`handle_span` per request
+        plus the miss list.  ``REPRO_NO_KERNELS=1`` sends every lane
+        here.
         """
-        responses = self.handle_span_block(
-            block.ts_l,
-            block.videos_l,
-            block.b0s_l,
-            block.b1s_l,
-            block.c0s_l,
-            block.c1s_l,
+        responses = list(
+            map(
+                self.handle_span,
+                block.ts_l,
+                block.videos_l,
+                block.b0s_l,
+                block.b1s_l,
+                block.c0s_l,
+                block.c1s_l,
+            )
         )
-        misses = [
-            i for i, response in enumerate(responses) if response is not SERVE_HIT
-        ]
-        return responses, misses
+        return responses, [i for i, r in enumerate(responses) if r is not SERVE_HIT]
 
     # -- introspection (shared by tests, examples and the CDN layer) --------
 

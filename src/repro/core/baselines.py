@@ -22,6 +22,7 @@ implementations make that argument measurable:
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import repeat
 from typing import Deque, Dict, Optional, Sequence
 
 from repro.core import kernels
@@ -94,54 +95,15 @@ class PullThroughLruCache(VideoCache):
             touch(chunk, t)
         return serve_response(len(missing), evicted)
 
-    def handle_span_block(self, ts, videos, b0s, b1s, c0s, c1s) -> list:
-        # Hoisted block walk: one dict probe per chunk against the raw
-        # recency dict, no per-request method dispatch.  Observably
-        # identical to handle_span element-wise (same probe/touch/evict
-        # order), which the batched-lane equivalence tests enforce.
-        disk_chunks = self.disk_chunks
-        disk = self._disk
-        entries = disk.raw_entries()
-        pop = entries.pop
-        responses: list = []
-        append = responses.append
-        last_t = None
-        for t, video, c0, c1 in zip(ts, videos, c0s, c1s):
-            if c1 - c0 + 1 > disk_chunks:
-                append(REDIRECT)
-                continue
-            last_t = t
-            missing = None
-            for c in range(c0, c1 + 1):
-                chunk = (video, c)
-                if pop(chunk, None) is None:
-                    if missing is None:
-                        missing = [chunk]
-                    else:
-                        missing.append(chunk)
-                else:
-                    entries[chunk] = t
-            if missing is None:
-                append(SERVE_HIT)
-                continue
-            evicted = len(entries) + len(missing) - disk_chunks
-            if evicted > 0:
-                for _ in range(evicted):
-                    del entries[next(iter(entries))]
-            else:
-                evicted = 0
-            for chunk in missing:
-                entries[chunk] = t
-            append(serve_response(len(missing), evicted))
-        if last_t is not None:
-            disk.advance_time(last_t)
-        return responses
-
     def handle_span_block_kernel(self, block) -> "tuple[list, list]":
-        """Residency pre-screen over one packed block.
+        """Hoisted block walk: one dict probe per chunk against the raw
+        recency dict, no per-request method dispatch, behind a
+        residency screen.
 
-        Two block-wide classifications from snapshots taken at block
-        start:
+        Observably identical to :meth:`handle_span` element-wise (same
+        probe/touch/evict order).  On a vectorized view with no probe
+        attached, two block-wide classifications come from snapshots
+        taken at block start:
 
         * **oversized** spans redirect with zero mutation;
         * spans **fully resident** at block start stay resident until
@@ -150,26 +112,31 @@ class PullThroughLruCache(VideoCache):
           mutation is the grouped LRU touch of its own chunks — the
           membership walk and fill/evict bookkeeping are skipped.  The
           first eviction demotes the remaining screened hits back to
-          the scalar residue walk.
+          the full walk.
 
-        Observably identical to :meth:`handle_span_block` (the fallback
-        when the block is not vectorized).
+        Otherwise only oversized spans are classified up front.
+        ``handle_span`` has no probe hooks, so the walk serves probed
+        caches too.
         """
-        if self.probe is not None or not block.vectorized:
-            return VideoCache.handle_span_block_kernel(self, block)
         disk_chunks = self.disk_chunks
         disk = self._disk
         entries = disk.raw_entries()
         pop = entries.pop
 
-        uniq, _order, _starts = block.video_groups()
-        arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(entries))
-        sizes = block.c1s - block.c0s + 1
-        counts = kernels.span_resident_counts(block, arrays)
-        # 0 undecided, 1 redirect, 2 guaranteed hit
-        screen = (counts == sizes).view(kernels._np.int8) * 2
-        screen[sizes > disk_chunks] = 1
-        screen_l = screen.tolist()
+        if block.vectorized and self.probe is None:
+            uniq, _order, _starts = block.video_groups()
+            arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(entries))
+            sizes = block.c1s - block.c0s + 1
+            counts = kernels.span_resident_counts(block, arrays)
+            # 0 undecided, 1 redirect, 2 guaranteed hit
+            screen = (counts == sizes).view(kernels._np.int8) * 2
+            screen[sizes > disk_chunks] = 1
+            screen_l = screen.tolist()
+        else:
+            screen_l = [
+                1 if c1 - c0 + 1 > disk_chunks else 0
+                for c0, c1 in zip(block.c0s_l, block.c1s_l)
+            ]
 
         responses: list = []
         append = responses.append
@@ -250,7 +217,6 @@ class LfuAdmissionCache(VideoCache):
         cost_model: CostModel | None = None,
         min_video_hits: int = 2,
         aging_interval: int = 10_000,
-        treap_seed: int = 0,
     ) -> None:
         super().__init__(disk_chunks, chunk_bytes, cost_model)
         if min_video_hits < 1:
@@ -261,7 +227,7 @@ class LfuAdmissionCache(VideoCache):
         self.aging_interval = aging_interval
         self._video_hits: Counter = Counter()
         self._freq: Dict[ChunkId, float] = {}
-        self._cached: ScoreHeap[ChunkId] = ScoreHeap(seed=treap_seed)
+        self._cached: ScoreHeap[ChunkId] = ScoreHeap()
         self._handled = 0
 
     def handle(self, request: Request) -> CacheResponse:
@@ -315,70 +281,15 @@ class LfuAdmissionCache(VideoCache):
             cached.insert(chunk, score)
         return serve_response(len(missing), evicted)
 
-    def handle_span_block(self, ts, videos, b0s, b1s, c0s, c1s) -> list:
-        # Hoisted block walk: the aging cadence, hit counter, frequency
-        # dict and frequency-set internals bound once per block instead
-        # of once per request.  Observably identical to handle_span
-        # element-wise, which the batched-lane equivalence tests
-        # enforce; membership runs against the ScoreHeap's live index
-        # dict (read-only — mutations go through insert/remove).
-        disk_chunks = self.disk_chunks
-        min_hits = self.min_video_hits
-        aging_interval = self.aging_interval
-        handled = self._handled
-        video_hits = self._video_hits
-        cached = self._cached
-        insert = cached.insert
-        index = cached.raw_index()
-        freq = self._freq
-        get_freq = freq.get
-        responses: list = []
-        append = responses.append
-        for t, video, c0, c1 in zip(ts, videos, c0s, c1s):
-            handled += 1
-            if handled % aging_interval == 0:
-                self._handled = handled
-                self._age()
-            video_hits[video] += 1
-            missing = None
-            for c in range(c0, c1 + 1):
-                chunk = (video, c)
-                if chunk in index:
-                    score = get_freq(chunk, 0.0) + 1.0
-                    freq[chunk] = score
-                    insert(chunk, score)
-                elif missing is None:
-                    missing = [chunk]
-                else:
-                    missing.append(chunk)
-            if c1 - c0 + 1 > disk_chunks:
-                append(REDIRECT)
-                continue
-            if video_hits[video] < min_hits:
-                append(REDIRECT)
-                continue
-            if missing is None:
-                append(SERVE_HIT)
-                continue
-            evicted = 0
-            need = len(missing) - (disk_chunks - len(index))
-            if need > 0:
-                exclude = {(video, c) for c in range(c0, c1 + 1)}
-                for chunk, _score in cached.pop_n_smallest(need, exclude=exclude):
-                    freq.pop(chunk, None)
-                    evicted += 1
-            for chunk in missing:
-                score = get_freq(chunk, 0.0) + 1.0
-                freq[chunk] = score
-                insert(chunk, score)
-            append(serve_response(len(missing), evicted))
-        self._handled = handled
-        return responses
-
     def handle_span_block_kernel(self, block) -> "tuple[list, list]":
-        """Unproven-video pre-screen over one packed block.
+        """Hoisted block walk behind an unproven-video screen.
 
-        A request is *provably* redirected with no per-chunk work when,
+        The aging cadence, hit counter, frequency dict and frequency-set
+        internals are bound once per block; membership runs against the
+        ScoreHeap's live index dict (read-only — mutations go through
+        insert/remove).  Observably identical to :meth:`handle_span`
+        element-wise.  On a vectorized view with no probe attached, a
+        request is *provably* redirected with no per-chunk work when,
         at block start,
 
         * it is its video's first in-block occurrence (so no in-block
@@ -391,26 +302,25 @@ class LfuAdmissionCache(VideoCache):
           occurrences), so the per-chunk re-key walk would do nothing.
 
         Such requests reduce to the counter bumps plus the interned
-        REDIRECT; everything else walks the scalar hoisted path.
-        Observably identical to :meth:`handle_span_block` (the fallback
-        when the block is not vectorized).
+        REDIRECT.  Otherwise every request is undecided.
+        ``handle_span`` has no probe hooks, so the walk serves probed
+        caches too.
         """
-        if self.probe is not None or not block.vectorized:
-            return VideoCache.handle_span_block_kernel(self, block)
-        np = kernels._np
         cached = self._cached
         index = cached.raw_index()
-
-        uniq, _order, _starts = block.video_groups()
-        snap_hits = kernels.snapshot_counts(uniq, self._video_hits)
-        arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))
-        counts = kernels.span_resident_counts(block, arrays)
-        inv = block.video_inverse()
-        screen = (
-            block.first_occurrence()
-            & (snap_hits[inv] + 1 < self.min_video_hits)
-            & (counts == 0)
-        ).tolist()
+        if block.vectorized and self.probe is None:
+            uniq, _order, _starts = block.video_groups()
+            snap_hits = kernels.snapshot_counts(uniq, self._video_hits)
+            arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))
+            counts = kernels.span_resident_counts(block, arrays)
+            inv = block.video_inverse()
+            screen = (
+                block.first_occurrence()
+                & (snap_hits[inv] + 1 < self.min_video_hits)
+                & (counts == 0)
+            ).tolist()
+        else:
+            screen = repeat(False)
 
         disk_chunks = self.disk_chunks
         min_hits = self.min_video_hits
@@ -515,11 +425,10 @@ class BeladyCache(VideoCache):
         disk_chunks: int,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         cost_model: CostModel | None = None,
-        treap_seed: int = 0,
     ) -> None:
         super().__init__(disk_chunks, chunk_bytes, cost_model)
         self._future: Dict[ChunkId, Deque[float]] = {}
-        self._cached: ScoreHeap[ChunkId] = ScoreHeap(seed=treap_seed)
+        self._cached: ScoreHeap[ChunkId] = ScoreHeap()
         self._prepared: Optional[Sequence[Request]] = None
         self._cursor = 0
 

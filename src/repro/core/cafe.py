@@ -105,7 +105,6 @@ class CafeCache(VideoCache):
         horizon: Optional[float] = None,
         ghost_factor: float = 4.0,
         use_video_iat_estimate: bool = True,
-        treap_seed: int = 0,
     ) -> None:
         """``horizon``: fixed value for ``T``; None means cache age (the
         paper's choice).  ``use_video_iat_estimate`` toggles the
@@ -117,7 +116,7 @@ class CafeCache(VideoCache):
         if horizon is not None and horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
         self._stats: IatEstimator[ChunkId] = IatEstimator(gamma)
-        self._cached: ScoreHeap[ChunkId] = ScoreHeap(seed=treap_seed)
+        self._cached: ScoreHeap[ChunkId] = ScoreHeap()
         self._ghosts: AccessRecencyList[ChunkId] = AccessRecencyList()
         self._video_chunks: dict[int, set[int]] = {}
         self._horizon = horizon
@@ -301,27 +300,6 @@ class CafeCache(VideoCache):
                 probe.on_fill(now, chunk)
             probe.on_serve(now, len(missing), len(victims))
         return serve_response(len(missing), len(victims))
-
-    def handle_span_block_kernel(self, block) -> "tuple[list, list]":
-        """The block walk over :meth:`handle_span`, plus the miss indices.
-
-        Cafe has no numpy pre-screen: a hit screen holds only until the
-        first in-block eviction, which Cafe reaches early in nearly
-        every block (DESIGN.md §12).  The override exists so the kernel
-        lane keeps the whole-block ``record_packed_block`` accounting.
-        """
-        responses = list(
-            map(
-                self.handle_span,
-                block.ts_l,
-                block.videos_l,
-                block.b0s_l,
-                block.b1s_l,
-                block.c0s_l,
-                block.c1s_l,
-            )
-        )
-        return responses, [i for i, r in enumerate(responses) if r is not SERVE_HIT]
 
     def __contains__(self, chunk: ChunkId) -> bool:
         return chunk in self._cached

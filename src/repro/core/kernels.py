@@ -1,12 +1,15 @@
-"""Shared numpy helpers for the per-cache block decision kernels.
+"""Shared numpy helpers for the per-cache block screens.
 
-The vectorized kernels (:meth:`~repro.core.base.VideoCache.handle_span_block_kernel`
-overrides in :mod:`repro.core.xlru`, :mod:`repro.core.baselines` and
-:mod:`repro.core.policy`) all follow the same shape: snapshot the
-mutable structures once per block, classify as many requests as
-possible in whole-column numpy passes, then walk only the undecided
-residue through the scalar per-request code.  This module holds the
-snapshot/classification primitives they share:
+Each cache with a hoisted block walk (the
+:meth:`~repro.core.base.VideoCache.handle_span_block_kernel` overrides
+in :mod:`repro.core.xlru`, :mod:`repro.core.baselines` and
+:mod:`repro.core.policy`) has one walk, screened or not: on a
+vectorized view it snapshots the mutable structures once per block,
+classifies as many requests as possible in whole-column numpy passes,
+and the walk skips the per-request work of every screened request;
+without a view (or with a probe attached) every request is undecided.
+This module holds the snapshot/classification primitives the screens
+share:
 
 * gathering per-unique-video state (tracker last-access times, hit
   counts) into aligned numpy columns for block-wide admission tests;
@@ -20,11 +23,10 @@ enforce):
 * Snapshots are taken at **block start**; a screen is only used when
   later in-block mutations cannot invalidate it (e.g. a span fully
   resident at block start stays resident until the first eviction, so
-  hit screens are demoted to the scalar residue once anything is
-  evicted).
+  hit screens are demoted to the full walk once anything is evicted).
 * Screens may only pre-decide a request when the decision *and* the
-  mutation footprint are exactly those of the scalar walk; anything
-  uncertain stays in the residue.
+  mutation footprint are exactly those of the per-request walk;
+  anything uncertain stays undecided.
 
 All helpers require numpy (callers guard on ``block.vectorized``; the
 ``REPRO_NO_NUMPY`` lane never reaches them).

@@ -61,7 +61,6 @@ class LruKCache(VideoCache):
         cost_model: CostModel | None = None,
         k: int = 2,
         history_factor: float = 4.0,
-        treap_seed: int = 0,
     ) -> None:
         """``k``: accesses required before a video is cacheable (k=2
         mirrors xLRU's "first request is always redirected").
@@ -78,7 +77,7 @@ class LruKCache(VideoCache):
         self._history: Dict[int, Deque[float]] = {}
         self._max_history = max(1, int(history_factor * disk_chunks))
         #: cached chunks scored by their video's K-th-most-recent access
-        self._cached: ScoreHeap[ChunkId] = ScoreHeap(seed=treap_seed)
+        self._cached: ScoreHeap[ChunkId] = ScoreHeap()
         self._video_chunks: Dict[int, set] = {}
 
     # -- VideoCache interface ------------------------------------------------
@@ -207,10 +206,9 @@ class GreedyDualSizeCache(VideoCache):
         disk_chunks: int,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         cost_model: CostModel | None = None,
-        treap_seed: int = 0,
     ) -> None:
         super().__init__(disk_chunks, chunk_bytes, cost_model)
-        self._cached: ScoreHeap[ChunkId] = ScoreHeap(seed=treap_seed)
+        self._cached: ScoreHeap[ChunkId] = ScoreHeap()
         self._inflation = 0.0
 
     def handle(self, request: Request) -> CacheResponse:

@@ -1,11 +1,11 @@
 """The policy-kernel protocol and its two execution engines.
 
 Adding an algorithm used to mean touching five subsystems: the object
-lane (``handle``/``handle_span``), the packed lane
-(``handle_span_block``), the vectorized decision kernel, a hand-written
-reference oracle and the probe wiring.  A :class:`PolicyKernel`
-collapses all of that into one small object with score/admit/evict
-hooks; the two engines here turn any conforming policy into
+lane (``handle``/``handle_span``), the hoisted block walk, the
+vectorized decision screen, a hand-written reference oracle and the
+probe wiring.  A :class:`PolicyKernel` collapses all of that into one
+small object with score/admit/evict hooks; the two engines here turn
+any conforming policy into
 
 * :class:`KernelCache` — the production cache: a
   :class:`~repro.structures.scoreheap.ScoreHeap`-backed
@@ -37,6 +37,7 @@ every lane the engines provide.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core import kernels
@@ -150,9 +151,9 @@ class KernelCache(VideoCache):
     """Production engine: any :class:`PolicyKernel` as a full cache.
 
     Provides every lane the hand-written caches have — object
-    ``handle``/``handle_span``, the hoisted ``handle_span_block`` walk,
-    and a generic ``handle_span_block_kernel`` built on the policy's
-    redirect ``screen`` — plus probe hooks and snapshot support (via
+    ``handle``/``handle_span`` and the hoisted block walk
+    ``handle_span_block_kernel`` behind the policy's redirect
+    ``screen`` — plus probe hooks and snapshot support (via
     :mod:`repro.core.snapshot`, kind ``policy:<policy.kind>``).
     """
 
@@ -167,7 +168,7 @@ class KernelCache(VideoCache):
         self.policy = policy
         self.name = policy.name
         self.cost_sensitive = policy.cost_sensitive
-        self._cached: ScoreHeap[ChunkId] = ScoreHeap(seed=0)
+        self._cached: ScoreHeap[ChunkId] = ScoreHeap()
         policy.bind(self)
 
     # -- engine services for the bound policy --------------------------------
@@ -247,89 +248,43 @@ class KernelCache(VideoCache):
             probe.on_serve(t, len(missing), evicted)
         return serve_response(len(missing), evicted)
 
-    def handle_span_block(self, ts, videos, b0s, b1s, c0s, c1s) -> list:
-        # Hoisted block walk: policy hooks, heap internals and the disk
-        # size bound once per block.  Observably identical to
-        # handle_span element-wise (same hook order, same insert/evict
-        # sequence); with a probe attached the element-wise walk runs
-        # instead so probe hook ordering is trivially preserved.
-        if self.probe is not None:
-            return list(map(self.handle_span, ts, videos, b0s, b1s, c0s, c1s))
-        policy = self.policy
-        on_request = policy.on_request
-        rescore = policy.rescore_hit
-        admit = policy.admit
-        fill_score = policy.fill_score
-        on_evict = policy.on_evict
-        disk_chunks = self.disk_chunks
-        cached = self._cached
-        insert = cached.insert
-        index = cached.raw_index()
-        responses: list = []
-        append = responses.append
-        for t, video, c0, c1 in zip(ts, videos, c0s, c1s):
-            on_request(t, video, c0, c1)
-            missing = None
-            for c in range(c0, c1 + 1):
-                chunk = (video, c)
-                if chunk in index:
-                    score = rescore(t, video, c)
-                    if score is not None:
-                        insert(chunk, score)
-                elif missing is None:
-                    missing = [chunk]
-                else:
-                    missing.append(chunk)
-            if c1 - c0 + 1 > disk_chunks:
-                append(REDIRECT)
-                continue
-            n_missing = 0 if missing is None else len(missing)
-            if admit(t, video, c0, c1, n_missing) is not None:
-                append(REDIRECT)
-                continue
-            if missing is None:
-                append(SERVE_HIT)
-                continue
-            evicted = 0
-            need = n_missing - (disk_chunks - len(index))
-            if need > 0:
-                exclude = {(video, c) for c in range(c0, c1 + 1)}
-                for chunk, _score in cached.pop_n_smallest(need, exclude=exclude):
-                    on_evict(chunk)
-                    evicted += 1
-            for chunk in missing:
-                insert(chunk, fill_score(t, chunk[0], chunk[1]))
-            append(serve_response(n_missing, evicted))
-        return responses
-
     def handle_span_block_kernel(self, block) -> "tuple[list, list]":
-        """Generic redirect pre-screen over one packed block.
+        """Hoisted block walk behind the policy's redirect screen.
 
-        The engine snapshots span residency at block start and asks the
-        policy for its provable-redirect mask; a screened request is
-        sound when additionally it is its video's first in-block
-        occurrence (no earlier in-block request changed this video's
-        admission state or residency) and none of its span is resident
-        (so skipping the chunk walk mutates nothing).  Screened
-        requests reduce to ``on_request`` plus the interned REDIRECT;
-        everything else walks the scalar hoisted path.  Falls back to
-        the scalar block walk when the policy has no screen, the block
-        is not vectorized, or a probe is attached.
+        Policy hooks, heap internals and the disk size are bound once
+        per block; the walk is observably identical to
+        :meth:`handle_span` element-wise (same hook order, same
+        insert/evict sequence).  On a vectorized view with no probe
+        attached, a policy that defines :meth:`PolicyKernel.screen`
+        gets the block-start span residency and returns its
+        provable-redirect mask; a screened request is sound when
+        additionally it is its video's first in-block occurrence (no
+        earlier in-block request changed this video's admission state
+        or residency) and none of its span is resident (so skipping the
+        chunk walk mutates nothing).  Screened requests reduce to
+        ``on_request`` plus the interned REDIRECT.  Policies without a
+        screen skip the residency summary; their requests, like every
+        request of an unvectorized view, are undecided.  The walk has
+        no probe hooks, so with a probe attached the per-request
+        reference runs instead.
         """
-        if self.probe is not None or not block.vectorized:
+        if self.probe is not None:
             return VideoCache.handle_span_block_kernel(self, block)
         policy = self.policy
         cached = self._cached
         index = cached.raw_index()
-        uniq, _order, _starts = block.video_groups()
-        arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))
-        counts = kernels.span_resident_counts(block, arrays)
-        inv = block.video_inverse()
-        first = block.first_occurrence()
-        mask = policy.screen(block, uniq, inv, counts, first)
-        if mask is None:
-            return VideoCache.handle_span_block_kernel(self, block)
-        screen = (mask & first & (counts == 0)).tolist()
+        screen = None
+        if block.vectorized and type(policy).screen is not PolicyKernel.screen:
+            uniq, _order, _starts = block.video_groups()
+            arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))
+            counts = kernels.span_resident_counts(block, arrays)
+            inv = block.video_inverse()
+            first = block.first_occurrence()
+            mask = policy.screen(block, uniq, inv, counts, first)
+            if mask is not None:
+                screen = (mask & first & (counts == 0)).tolist()
+        if screen is None:
+            screen = repeat(False)
 
         on_request = policy.on_request
         rescore = policy.rescore_hit

@@ -177,9 +177,9 @@ def oracle_factories() -> Dict[str, Callable]:
 def kernel_algorithm_names() -> tuple:
     """Policy names for the kernel-lane equivalence matrix.
 
-    Every KernelCache overrides ``handle_span_block_kernel`` at class
-    level (screen-less policies fall back to the scalar block walk
-    inside it), so all registered policies belong on the matrix.
+    Every KernelCache runs its own hoisted ``handle_span_block_kernel``
+    walk (screen-less policies with every request undecided), so all
+    registered policies belong on the matrix.
     """
     return tuple(sorted(POLICY_REGISTRY))
 

@@ -56,7 +56,6 @@ class PsychicCache(VideoCache):
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         cost_model: CostModel | None = None,
         lookahead: int = DEFAULT_LOOKAHEAD,
-        treap_seed: int = 0,
     ) -> None:
         super().__init__(disk_chunks, chunk_bytes, cost_model)
         if lookahead <= 0:
@@ -66,7 +65,7 @@ class PsychicCache(VideoCache):
         self._future: Dict[ChunkId, Deque[float]] = {}
         #: cached chunks keyed by -(next request time): never-requested-
         #: again chunks (key -inf) are evicted first, then farthest-next.
-        self._cached: ScoreHeap[ChunkId] = ScoreHeap(seed=treap_seed)
+        self._cached: ScoreHeap[ChunkId] = ScoreHeap()
         self._admit_time: Dict[ChunkId, float] = {}
         self._prepared: Optional[Sequence[Request]] = None
         self._cursor = 0

@@ -232,7 +232,7 @@ def _load_cafe(cache: CafeCache, state: dict) -> None:
         stats[(int(v), int(c))] = EwmaIat(
             dt=_decode_float(dt), t_last=float(t_last)
         )
-    cached: ScoreHeap = ScoreHeap(seed=0)
+    cached: ScoreHeap = ScoreHeap()
     video_chunks: dict[int, set] = {}
     for v, c in state["cached"]:
         chunk = (int(v), int(c))
@@ -281,7 +281,7 @@ def _load_lfu(cache: LfuAdmissionCache, state: dict) -> None:
     freq: Dict[Tuple[int, int], float] = {
         (int(v), int(c)): float(score) for v, c, score in state["freq"]
     }
-    cached: ScoreHeap = ScoreHeap(seed=0)
+    cached: ScoreHeap = ScoreHeap()
     for v, c in state["cached"]:
         chunk = (int(v), int(c))
         if chunk not in freq:
@@ -322,7 +322,7 @@ def _load_policy(cache: KernelCache, state: dict) -> None:
         )
     # load_state validates immutable knobs before any engine mutation
     cache.policy.load_state(state["policy_state"])
-    cached: ScoreHeap = ScoreHeap(seed=0)
+    cached: ScoreHeap = ScoreHeap()
     for v, c, score in state["cached"]:
         cached.insert((int(v), int(c)), _decode_float(score))
     if len(cached) > cache.disk_chunks:

@@ -24,6 +24,8 @@ is evicted until the disk is full.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.core import kernels
 from repro.core.base import REDIRECT, SERVE_HIT, CacheResponse, VideoCache, serve_response
 from repro.core.costs import CostModel
@@ -126,100 +128,19 @@ class XlruCache(VideoCache):
             probe.on_serve(t, len(missing), evicted)
         return serve_response(len(missing), evicted)
 
-    def handle_span_block(self, ts, videos, b0s, b1s, c0s, c1s) -> list:
+    def handle_span_block_kernel(self, block) -> "tuple[list, list]":
         """Hoisted block walk over the tracker and disk recency dicts.
 
         Observably identical to :meth:`handle_span` element-wise — same
-        tracker touch, cleanup cadence, admission test, probe-free chunk
-        walk and eviction order — with the structure internals bound
-        once per block instead of once per request.  With a telemetry
-        probe attached the generic element-wise walk runs instead, so
-        probe hook ordering is trivially preserved.
-        """
-        if self.probe is not None:
-            return VideoCache.handle_span_block(
-                self, ts, videos, b0s, b1s, c0s, c1s
-            )
-        alpha = self.cost_model.alpha_f2r
-        disk_chunks = self.disk_chunks
-        cleanup_interval = self._cleanup_interval
-        since = self._requests_since_cleanup
-        tracker = self._tracker
-        tentries = tracker.raw_entries()
-        tpop = tentries.pop
-        disk = self._disk
-        dentries = disk.raw_entries()
-        dpop = dentries.pop
-        inf = float("inf")
-        responses: list = []
-        append = responses.append
-        last_t = None
-        for t, video, c0, c1 in zip(ts, videos, c0s, c1s):
-            last = tpop(video, None)
-            tentries[video] = t
-            last_t = t
-            since += 1
-            if since >= cleanup_interval:
-                # _maybe_cleanup_tracker, inlined: drop tracker entries
-                # that can no longer pass the admission test.
-                since = 0
-                if len(dentries) >= disk_chunks:
-                    age = t - next(iter(dentries.values()))
-                    cutoff = t - age / alpha
-                    while tentries:
-                        oldest = next(iter(tentries))
-                        if tentries[oldest] >= cutoff:
-                            break
-                        del tentries[oldest]
-            if last is None:
-                append(REDIRECT)
-                continue
-            if len(dentries) < disk_chunks:
-                age = inf
-            else:
-                age = t - next(iter(dentries.values()))
-            if (t - last) * alpha > age:
-                append(REDIRECT)
-                continue
-            if c1 - c0 + 1 > disk_chunks:
-                append(REDIRECT)
-                continue
-            missing = None
-            for c in range(c0, c1 + 1):
-                chunk = (video, c)
-                if dpop(chunk, None) is None:
-                    if missing is None:
-                        missing = [chunk]
-                    else:
-                        missing.append(chunk)
-                else:
-                    dentries[chunk] = t
-            if missing is None:
-                append(SERVE_HIT)
-                continue
-            evicted = len(dentries) + len(missing) - disk_chunks
-            if evicted > 0:
-                for _ in range(evicted):
-                    del dentries[next(iter(dentries))]
-            else:
-                evicted = 0
-            for chunk in missing:
-                dentries[chunk] = t
-            append(serve_response(len(missing), evicted))
-        self._requests_since_cleanup = since
-        if last_t is not None:
-            tracker.advance_time(last_t)
-            disk.advance_time(last_t)
-        return responses
-
-    def handle_span_block_kernel(self, block) -> "tuple[list, list]":
-        """Vectorized admission pre-screen over one packed block.
-
-        Every xLRU request whose response is REDIRECT mutates only the
+        tracker touch, cleanup cadence, admission test, chunk walk and
+        eviction order — with the structure internals bound once per
+        block.  On a vectorized view, a numpy admission screen first
+        proves requests redirected from block-start snapshots.  Every
+        xLRU request whose response is REDIRECT mutates only the
         popularity tracker (the touch plus the cleanup cadence), never
-        the disk — so any request *proven* redirected from block-start
-        snapshots can skip the admission arithmetic, the disk-age read
-        and the whole chunk walk.  Three screens are exact:
+        the disk — so a screened request skips the admission
+        arithmetic, the disk-age read and the whole chunk walk.  Three
+        screens are exact:
 
         * **never-seen** — the video's first in-block occurrence with no
           tracker-snapshot entry: the tracker cannot have gained it
@@ -236,15 +157,12 @@ class XlruCache(VideoCache):
         * **oversized** — spans larger than the disk redirect on every
           admission path.
 
-        The scalar walk then runs with screened requests reduced to the
-        tracker touch + interned REDIRECT.  Observably identical to
-        :meth:`handle_span_block`, which remains the reference (and the
-        fallback when the block is not vectorized or a probe is
-        attached).
+        Without a vectorized view every request is undecided.  The walk
+        has no probe hooks, so with a probe attached the per-request
+        reference runs instead.
         """
-        if self.probe is not None or not block.vectorized:
+        if self.probe is not None:
             return VideoCache.handle_span_block_kernel(self, block)
-        np = kernels._np
         alpha = self.cost_model.alpha_f2r
         disk_chunks = self.disk_chunks
         tracker = self._tracker
@@ -254,17 +172,21 @@ class XlruCache(VideoCache):
         dentries = disk.raw_entries()
         dpop = dentries.pop
 
-        uniq, _order, _starts = block.video_groups()
-        snap = kernels.snapshot_times(uniq, tentries)
-        prev = block.prev_t()
-        last_eff = np.where(np.isnan(prev), snap[block.video_inverse()], prev)
-        redirect = np.isnan(last_eff)
-        if len(dentries) >= disk_chunks:
-            o0 = next(iter(dentries.values()))
-            ts = block.ts
-            redirect |= (ts - last_eff) * alpha > (ts - o0)
-        redirect |= (block.c1s - block.c0s + 1) > disk_chunks
-        screen = redirect.tolist()
+        if block.vectorized:
+            np = kernels._np
+            uniq, _order, _starts = block.video_groups()
+            snap = kernels.snapshot_times(uniq, tentries)
+            prev = block.prev_t()
+            last_eff = np.where(np.isnan(prev), snap[block.video_inverse()], prev)
+            redirect = np.isnan(last_eff)
+            if len(dentries) >= disk_chunks:
+                o0 = next(iter(dentries.values()))
+                ts = block.ts
+                redirect |= (ts - last_eff) * alpha > (ts - o0)
+            redirect |= (block.c1s - block.c0s + 1) > disk_chunks
+            screen = redirect.tolist()
+        else:
+            screen = repeat(False)
 
         cleanup_interval = self._cleanup_interval
         since = self._requests_since_cleanup
@@ -290,7 +212,8 @@ class XlruCache(VideoCache):
             last_t = t
             since += 1
             if since >= cleanup_interval:
-                # _maybe_cleanup_tracker, inlined (see handle_span_block)
+                # _maybe_cleanup_tracker, inlined: drop tracker entries
+                # that can no longer pass the admission test.
                 since = 0
                 if len(dentries) >= disk_chunks:
                     if head_key is None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from types import MethodType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.core.base import VideoCache
@@ -64,11 +65,12 @@ def _span_native(cache: VideoCache) -> bool:
     )
 
 
-#: Environment knob disabling the vectorized decision kernels: the
-#: packed lane then drives every cache through its scalar
-#: ``handle_span_block`` walk (the reference implementation).  CI's
-#: equivalence matrix and A/B benchmarking use it; the knob is read per
-#: run so tests can flip it.
+#: Environment knob sending every block lane through the per-request
+#: reference (:meth:`VideoCache.handle_span_block_kernel` on the base
+#: class: ``handle_span`` per request plus the miss list) instead of
+#: each cache's hoisted, screened walk.  CI's kernels-off axis and the
+#: benchmark's reference gate use it to check the walks against
+#: independent code; the knob is read per run so tests can flip it.
 NO_KERNELS_ENV = "REPRO_NO_KERNELS"
 
 
@@ -77,17 +79,28 @@ def _kernels_enabled() -> bool:
 
 
 def _kernel_native(cache: VideoCache) -> bool:
-    """Whether ``cache`` overrides the block decision kernel.
+    """Whether ``cache`` overrides the block entry with its own walk.
 
-    The base-class kernel is the scalar walk plus a Python miss scan;
-    routing non-kernel caches through it would cost more than the
-    per-request accounting it saves, so the engine only dispatches
-    kernels that caches actually implement.
+    The lanes do not consult this: they call every cache's block entry,
+    overridden or not.  It stays for code that tells a cache's own
+    walk from the per-request reference — the benchmark harness under
+    ``perfbench/`` and the policy tests import it.
     """
     return (
         getattr(type(cache), "handle_span_block_kernel", None)
         is not VideoCache.handle_span_block_kernel
     )
+
+
+def _block_entry(cache: VideoCache, kernels_on: bool) -> Callable:
+    """The block entry a lane calls once per block for ``cache``.
+
+    The cache's own ``handle_span_block_kernel``, or with kernels off
+    the base-class per-request reference, bound to ``cache``.
+    """
+    if kernels_on:
+        return cache.handle_span_block_kernel
+    return MethodType(VideoCache.handle_span_block_kernel, cache)
 
 
 def _block_collector_ok(collector: MetricsCollector) -> bool:
@@ -422,59 +435,42 @@ class MultiReplay:
 
         Caches are independent, so handling a whole block through one
         cache before the next is exactly equivalent to the per-request
-        interleaving of the object path — but lets each lane run as a
-        single C-level ``map`` over column slices.  Time order and byte
-        ranges were validated at pack time, so no per-request checks
-        run here.
+        interleaving of the object path.  Each lane makes one call per
+        block into its cache's block entry
+        (:meth:`~repro.core.base.VideoCache.handle_span_block_kernel`)
+        and records the responses with the miss list it returns.  Time
+        order and byte ranges were validated at pack time, so no
+        per-request checks run here.
         """
-        ts, videos, b0s, b1s, c0s, c1s, num_bytes, num_chunks = packed.hot_columns()
-        n = len(ts)
+        n = len(packed)
         pk = packed.chunk_bytes
         kernels_on = _kernels_enabled()
 
-        # Per-lane column adaptation: chunk columns follow the cache's
-        # chunk size, the byte-accounting column follows the collector's
-        # (they may legitimately differ from the packed trace's).  A
-        # lane whose chunk sizes all match the trace's — the common
-        # case — dispatches through the cache's decision kernel
-        # (handle_span_block_kernel + record_packed_block); mismatched
-        # lanes and record-overriding collectors take the scalar block
-        # walk with per-request accounting.
+        # A lane's decision view follows its cache's chunk size and its
+        # accounting view its collector's (they may legitimately differ
+        # from the packed trace's): one rechunked trace per extra size.
+        traces = {pk: packed}
         lanes = []
         for key in keys:
             cache = self.caches[key]
             collector = self.collectors[key]
             ck = cache.chunk_bytes
-            if ck == pk:
-                lane_c0, lane_c1 = c0s, c1s
-            else:
-                lane_c0 = [b // ck for b in b0s]
-                lane_c1 = [b // ck for b in b1s]
             mk = collector.chunk_bytes
-            if mk == pk:
-                lane_nc = num_chunks
-            elif mk == ck:
-                lane_nc = [hi - lo + 1 for lo, hi in zip(lane_c0, lane_c1)]
-            else:
-                lane_nc = [b1 // mk - b0 // mk + 1 for b0, b1 in zip(b0s, b1s)]
-            kernel = None
-            if (
-                kernels_on
-                and ck == pk
-                and mk == pk
-                and _kernel_native(cache)
-                and _block_collector_ok(collector)
-            ):
-                kernel = cache.handle_span_block_kernel
+            for k in (ck, mk):
+                if k not in traces:
+                    traces[k] = pack_trace(packed, chunk_bytes=k)
+            record_block = (
+                collector.record_packed_block
+                if _block_collector_ok(collector)
+                else None
+            )
             lanes.append(
                 (
-                    kernel,
-                    cache.handle_span_block,
-                    collector.record_packed_block,
+                    _block_entry(cache, kernels_on),
+                    record_block,
                     collector.record_packed,
-                    lane_c0,
-                    lane_c1,
-                    lane_nc,
+                    ck,
+                    mk,
                 )
             )
 
@@ -490,39 +486,20 @@ class MultiReplay:
         block = PACKED_BLOCK
         for start in range(0, n, block):
             stop = min(start + block, n)
-            view = packed.block_view(start, stop)
-            block_t = view.ts_l
-            block_nb = num_bytes[start:stop]
-            for (
-                kernel,
-                handle_block,
-                record_block,
-                record_packed,
-                lane_c0,
-                lane_c1,
-                lane_nc,
-            ) in lanes:
-                if kernel is not None and view.vectorized:
-                    responses, misses = kernel(view)
+            views = {k: trace.block_view(start, stop) for k, trace in traces.items()}
+            for entry, record_block, record_packed, ck, mk in lanes:
+                responses, misses = entry(views[ck])
+                acct = views[mk]
+                if record_block is not None and acct.vectorized:
                     record_block(
-                        view.ts, view.num_bytes, view.num_chunks, responses, misses
+                        acct.ts, acct.num_bytes, acct.num_chunks, responses, misses
                     )
                 else:
-                    responses = handle_block(
-                        block_t,
-                        view.videos_l,
-                        view.b0s_l,
-                        view.b1s_l,
-                        lane_c0[start:stop],
-                        lane_c1[start:stop],
-                    )
                     record_packed(
-                        block_t, block_nb, lane_nc[start:stop], responses
+                        acct.ts_l, acct.num_bytes_l, acct.num_chunks_l, responses
                     )
             if snap_every and stop - last_snap >= snap_every:
-                # float() lifts numpy scalars so snapshots stay
-                # JSON-serializable regardless of the column backing.
-                self._sample_lanes(float(block_t[-1]), stop)
+                self._sample_lanes(views[pk].ts_l[-1], stop)
                 last_snap = stop
             if progress is not None:
                 progress(stop, n, time.perf_counter() - t0)

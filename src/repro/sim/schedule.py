@@ -40,6 +40,7 @@ overwrite results).
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import pickle
 import signal
@@ -309,25 +310,51 @@ class SweepCheckpoint:
             os.close(dfd)
 
 
+def _exit_when_orphaned(owner: int) -> None:
+    """Pool-worker initializer: exit once the sweep process is gone.
+
+    The owner's SIGTERM handler kills the workers it knows of, but a
+    worker forked in that same instant is not registered yet, and an
+    idle worker blocks on the call queue (whose write end it inherited)
+    forever.  A daemon thread watching the parent pid ends it.
+    """
+
+    def watch() -> None:
+        while os.getppid() == owner:
+            time.sleep(0.1)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="orphan-watch", daemon=True).start()
+
+
 @contextmanager
-def _terminal_signal_cleanup(shared, checkpoint, log):
+def _terminal_signal_cleanup(checkpoint, log):
     """SIGTERM/SIGINT handlers that release sweep resources first.
 
+    Yields a list to which the caller appends each shared trace segment
+    right after exporting it; the handlers are installed before any
+    segment exists, so a signal cannot meet an exported segment that
+    has no cleanup hook yet, bar the moment inside the export itself.
     SIGTERM's default disposition kills the process without unwinding
     ``finally`` blocks, which would leak the parent-owned ``/dev/shm``
-    trace segment and leave a just-created checkpoint journal's
+    trace segments and leave a just-created checkpoint journal's
     directory entry unsynced.  While a parallel sweep is running, the
-    installed handler unlinks the segment, syncs the journal, then
-    exits with the conventional ``128 + signum`` status (``os._exit``,
-    so it never blocks on process-pool teardown).  SIGINT performs the
+    installed handler unlinks the segments, syncs the journal, kills
+    the pool workers started meanwhile, then exits with the
+    conventional ``128 + signum`` status (``os._exit``, so it never
+    blocks on process-pool teardown).  The kill matters: an idle worker
+    blocks reading the pool's call queue, whose write end it inherited,
+    so it would never see EOF and would keep the unlinked segment (and
+    the resource tracker) alive forever.  SIGINT performs the
     same cleanup but raises :class:`KeyboardInterrupt`, preserving the
     existing Ctrl-C semantics; ``SharedTraceHandle.unlink`` is
     idempotent, so the outer ``finally`` unlinking again is harmless.
     Signal handlers can only be installed from the main thread —
     elsewhere this is a no-op.
     """
+    exported: list = []
     if threading.current_thread() is not threading.main_thread():
-        yield
+        yield exported
         return
 
     # Forked pool workers inherit these handlers; only the installing
@@ -335,9 +362,17 @@ def _terminal_signal_cleanup(shared, checkpoint, log):
     # the default disposition instead of unlinking it out from under
     # its siblings.
     owner_pid = os.getpid()
+    prior_children = set(multiprocessing.active_children())
+
+    def _stop_workers() -> None:
+        workers = set(multiprocessing.active_children()) - prior_children
+        for worker in workers:
+            worker.kill()
+        for worker in workers:
+            worker.join(timeout=1.0)
 
     def _cleanup(signum: int) -> None:
-        if shared is not None:
+        for shared in exported:
             try:
                 shared.unlink()
             except Exception:  # pragma: no cover - nothing left to do
@@ -363,6 +398,10 @@ def _terminal_signal_cleanup(shared, checkpoint, log):
             os.kill(os.getpid(), signum)
             return
         _cleanup(signum)
+        try:
+            _stop_workers()
+        except Exception:  # pragma: no cover - exiting regardless
+            pass
         os._exit(128 + signum)
 
     def _on_int(signum, frame):
@@ -377,10 +416,10 @@ def _terminal_signal_cleanup(shared, checkpoint, log):
     except (ValueError, OSError):  # pragma: no cover - exotic runtime
         for signum, handler in previous.items():
             signal.signal(signum, handler)
-        yield
+        yield exported
         return
     try:
-        yield
+        yield exported
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
@@ -715,68 +754,73 @@ class SweepScheduler:
             # Ship the trace to workers as one shared-memory segment
             # instead of pickling a copy per group.  The parent owns the
             # segment: the ``finally`` guarantees it is unlinked even
-            # when a group crashes, retries, or the sweep itself dies —
-            # no leaked ``/dev/shm`` entries.
+            # when a group crashes, retries, or the sweep itself dies,
+            # and the signal handlers (installed before it exists)
+            # cover SIGTERM/SIGINT — no leaked ``/dev/shm`` entries.
             shared: Optional[SharedTraceHandle] = None
             payload: "Sequence[Request] | SharedTraceHandle" = requests
-            try:
-                if len(requests):
-                    try:
-                        t_pack = time.perf_counter()
-                        packed = (
-                            requests
-                            if isinstance(requests, PackedTrace)
-                            else pack_trace(requests)
-                        )
-                        shared = packed.to_shared()
-                        pack_seconds = time.perf_counter() - t_pack
-                        payload = shared
-                        self._note(
-                            events,
-                            time.perf_counter() - t_start,
-                            "shared-trace",
-                            f"{len(packed)} requests -> "
-                            f"{shared.nbytes >> 10} KiB shared segment "
-                            f"{shared.name}",
-                            level="debug",
-                        )
-                    except Exception as exc:
-                        # Packing or shm unavailable (exotic platform,
-                        # exhausted /dev/shm): fall back to pickling the
-                        # request objects per group, as before.
-                        shared = None
-                        payload = requests
-                        self._note(
-                            events,
-                            time.perf_counter() - t_start,
-                            "shared-trace-unavailable",
-                            repr(exc),
-                            level="warning",
-                        )
-                pool_results, parallel_used, pool_events, exec_stats = (
-                    self._run_parallel(run_groups, payload, on_group)
-                )
-            finally:
-                if shared is not None:
-                    try:
-                        shared.unlink()
-                        self.events.debug(
-                            "shm-unlink", f"released shared segment {shared.name}"
-                        )
-                    except Exception as exc:
-                        # A failed unlink must not mask the sweep's
-                        # outcome; the leak is reported (stderr + log),
-                        # not raised.
-                        detail = f"segment {shared.name}: {exc!r}"
-                        events.append(
-                            EngineEvent(
-                                time.perf_counter() - t_start,
-                                "shm-unlink-failed",
-                                detail,
-                                "error",
+            with _terminal_signal_cleanup(
+                self.checkpoint, self.events
+            ) as exported:
+                try:
+                    if len(requests):
+                        try:
+                            t_pack = time.perf_counter()
+                            packed = (
+                                requests
+                                if isinstance(requests, PackedTrace)
+                                else pack_trace(requests)
                             )
-                        )
-                        self.events.error("shm-unlink-failed", detail)
+                            shared = packed.to_shared()
+                            exported.append(shared)
+                            pack_seconds = time.perf_counter() - t_pack
+                            payload = shared
+                            self._note(
+                                events,
+                                time.perf_counter() - t_start,
+                                "shared-trace",
+                                f"{len(packed)} requests -> "
+                                f"{shared.nbytes >> 10} KiB shared segment "
+                                f"{shared.name}",
+                                level="debug",
+                            )
+                        except Exception as exc:
+                            # Packing or shm unavailable (exotic platform,
+                            # exhausted /dev/shm): fall back to pickling the
+                            # request objects per group, as before.
+                            shared = None
+                            payload = requests
+                            self._note(
+                                events,
+                                time.perf_counter() - t_start,
+                                "shared-trace-unavailable",
+                                repr(exc),
+                                level="warning",
+                            )
+                    pool_results, parallel_used, pool_events, exec_stats = (
+                        self._run_parallel(run_groups, payload, on_group)
+                    )
+                finally:
+                    if shared is not None:
+                        try:
+                            shared.unlink()
+                            self.events.debug(
+                                "shm-unlink", f"released shared segment {shared.name}"
+                            )
+                        except Exception as exc:
+                            # A failed unlink must not mask the sweep's
+                            # outcome; the leak is reported (stderr + log),
+                            # not raised.
+                            detail = f"segment {shared.name}: {exc!r}"
+                            events.append(
+                                EngineEvent(
+                                    time.perf_counter() - t_start,
+                                    "shm-unlink-failed",
+                                    detail,
+                                    "error",
+                                )
+                            )
+                            self.events.error("shm-unlink-failed", detail)
             results.update(pool_results)
             events.extend(pool_events)
         else:
@@ -870,22 +914,10 @@ class SweepScheduler:
         doubles as the fallback when process pools are unavailable
         altogether.
 
-        While the pool runs, SIGTERM/SIGINT are intercepted so an
-        external kill still releases the shared trace segment and syncs
-        the checkpoint journal (see :func:`_terminal_signal_cleanup`).
+        The caller runs this under :func:`_terminal_signal_cleanup`, so
+        an external SIGTERM/SIGINT still releases the shared trace
+        segment, syncs the checkpoint journal and stops the workers.
         """
-        shared = requests if isinstance(requests, SharedTraceHandle) else None
-        with _terminal_signal_cleanup(shared, self.checkpoint, self.events):
-            return self._run_parallel_pool(groups, requests, on_group)
-
-    def _run_parallel_pool(
-        self,
-        groups: Sequence[CellGroup],
-        requests: "Sequence[Request] | SharedTraceHandle",
-        on_group: Optional[
-            Callable[[CellGroup, Dict[str, SimulationResult]], None]
-        ] = None,
-    ) -> Tuple[Dict[str, SimulationResult], bool, List[EngineEvent], Dict[str, int]]:
         t0 = time.perf_counter()
         results: Dict[str, SimulationResult] = {}
         events: List[EngineEvent] = []
@@ -901,7 +933,11 @@ class SweepScheduler:
         while pending:
             max_workers = min(self.workers, len(pending))
             try:
-                pool = ProcessPoolExecutor(max_workers=max_workers)
+                pool = ProcessPoolExecutor(
+                    max_workers=max_workers,
+                    initializer=_exit_when_orphaned,
+                    initargs=(os.getpid(),),
+                )
                 future_group = {
                     pool.submit(
                         _execute_group, group.kind, group.configs, requests,
@@ -1046,7 +1082,7 @@ class SweepScheduler:
         clone's cost model swapped in is exactly what a dedicated replay
         would have produced.  Copying goes through pickle — serialize
         each primary once, deserialize per clone — which is several
-        times faster than ``copy.deepcopy`` on treap-heavy cache state.
+        times faster than ``copy.deepcopy`` on heap-heavy cache state.
 
         A primary whose cache refuses to pickle (e.g. an instrumented
         wrapper holding a live file handle) degrades to a dedicated

@@ -7,8 +7,7 @@ The paper (Sections 5 and 6) prescribes two container shapes:
   tracker and the xLRU disk cache (:class:`AccessRecencyList`).
 * A set ordered by virtual-timestamp keys plus a hash map, used by
   Cafe Cache where re-insertions happen at arbitrary key positions:
-  the heap-backed :class:`ScoreHeap` the caches use, and the binary
-  tree :class:`TreapMap` it is tested against.
+  the heap-backed :class:`ScoreHeap`.
 
 It also prescribes per-chunk exponentially weighted moving-average
 inter-arrival-time tracking (Eq. 8) with the virtual-timestamp key of
@@ -23,11 +22,9 @@ from repro.structures.ewma import (
 )
 from repro.structures.lru import AccessRecencyList
 from repro.structures.scoreheap import ScoreHeap
-from repro.structures.treap import TreapMap
 
 __all__ = [
     "AccessRecencyList",
-    "TreapMap",
     "ScoreHeap",
     "EwmaIat",
     "IatEstimator",

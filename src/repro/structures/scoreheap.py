@@ -1,19 +1,15 @@
-"""Lazy-deletion binary heap with TreapMap's observable semantics.
+"""Lazy-deletion binary heap ordered by ``(score, insertion sequence)``.
 
 The ordered structures of the decision kernels (Cafe's virtual-timestamp
-set, LFU's frequency set, LRU-K / GDS credit sets) were built on
-:class:`~repro.structures.treap.TreapMap`, whose ``(score, seq)``
-composite key makes eviction order deterministic for a fixed insertion
-sequence — a property the verification oracles replicate and therefore
-part of the replayable spec.  The treap pays for that order with
-pure-Python ``_split``/``_merge`` recursion on every insert, which
-profiles as the dominant cost of the packed replay lane for the
-treap-backed caches.
+set, LFU's frequency set, LRU-K / GDS credit sets) order items by a
+``(score, seq)`` composite key, which makes eviction order
+deterministic for a fixed insertion sequence — a property the
+verification oracles replicate and therefore part of the replayable
+spec.
 
-:class:`ScoreHeap` keeps the *exact* observable contract — the same
-``(score, seq)`` total order, the same sequence-number assignment per
-:meth:`insert`, the same API — on top of :mod:`heapq` (C-implemented)
-with lazy deletion:
+:class:`ScoreHeap` keeps that order — each :meth:`insert` takes the
+next sequence number — on top of :mod:`heapq` (C-implemented) with
+lazy deletion:
 
 * ``insert``/``remove``/``discard`` are one dict operation plus at most
   one ``heappush``; superseded heap entries go *stale* and are dropped
@@ -27,8 +23,7 @@ with lazy deletion:
 
 Because every composite key is unique, heap order never compares items
 themselves, so unhashable-score pathologies cannot arise and the order
-is exactly TreapMap's.  The ``seed`` argument is accepted for drop-in
-compatibility; no randomness is needed (heap shape is not observable).
+is total.
 """
 
 from __future__ import annotations
@@ -43,13 +38,12 @@ __all__ = ["ScoreHeap"]
 
 class ScoreHeap(Generic[T]):
     """Map of hashable items to float scores, ordered by ascending
-    ``(score, insertion sequence)`` — observably identical to
-    :class:`~repro.structures.treap.TreapMap`.
+    ``(score, insertion sequence)``.
     """
 
     __slots__ = ("_heap", "_index", "_seq", "_stale")
 
-    def __init__(self, seed: Optional[int] = 0) -> None:
+    def __init__(self) -> None:
         # (score, seq, item) entries; an entry is live iff the index
         # still maps item -> (score, seq).
         self._heap: list[Tuple[float, int, T]] = []

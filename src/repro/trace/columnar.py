@@ -53,6 +53,7 @@ __all__ = [
     "SharedTraceHandle",
     "active_shared_traces",
     "pack_trace",
+    "request_block",
 ]
 
 #: Column order is the shared-memory layout: column ``i`` of an
@@ -186,14 +187,20 @@ class PackedTrace(Sequence):
     def block_view(self, start: int, stop: int) -> "BlockView":
         """One engine-block :class:`BlockView` over ``[start, stop)``.
 
-        The view carries both list slices (for the scalar block walks)
-        and, on numpy-backed traces, zero-copy array slices plus the
-        lazily derived per-block columns the decision kernels consume.
+        The view carries both list slices (for the hoisted walks) and,
+        on numpy-backed traces, zero-copy array slices plus the lazily
+        derived per-block columns the screens consume.  A view of the
+        whole trace shares the trace's lists instead of copying them;
+        walks only read a view's columns.
         """
-        hot = self.hot_columns()
         cols = self._cols
-        vectorized = _np is not None and isinstance(cols["t"], _np.ndarray)
-        return BlockView(self.chunk_bytes, start, stop, hot, cols if vectorized else None)
+        arrays = None
+        if _np is not None and isinstance(cols["t"], _np.ndarray):
+            arrays = tuple(cols[name][start:stop] for name, _ in _COLUMNS)
+        lists = self.hot_columns()
+        if (start, stop) != (0, self._n):
+            lists = tuple(col[start:stop] for col in lists)
+        return BlockView(self.chunk_bytes, lists, arrays)
 
     @property
     def nbytes(self) -> int:
@@ -388,12 +395,12 @@ class SharedTraceHandle:
 class BlockView:
     """One engine block of packed request columns, in both backings.
 
-    The replay lanes hand whole blocks to the per-cache decision
-    kernels (:meth:`~repro.core.base.VideoCache.handle_span_block_kernel`).
-    A view exposes the same slice twice — plain list slices for the
-    scalar block walks, zero-copy numpy slices for vectorized
-    pre-screens — plus *derived per-block columns* that are computed
-    lazily, once, and shared by every lane replaying the block:
+    The replay lanes hand whole blocks to each cache's block entry
+    (:meth:`~repro.core.base.VideoCache.handle_span_block_kernel`).
+    A view exposes the same columns twice — plain list slices for the
+    hoisted walks, zero-copy numpy slices for vectorized screens — plus
+    *derived per-block columns* that are computed lazily, once, and
+    shared by every lane replaying the block:
 
     * the stable per-video grouping (``video_groups``), the basis of
       per-video residency summaries and batched touch condensation;
@@ -403,8 +410,8 @@ class BlockView:
       join against their tracker snapshots.
 
     On the array-fallback lane (``REPRO_NO_NUMPY``) only the list
-    slices exist and :attr:`vectorized` is False; kernels must fall
-    back to their scalar reference walk.
+    slices exist and :attr:`vectorized` is False; the walks then run
+    with every request undecided.
     """
 
     __slots__ = (
@@ -424,6 +431,8 @@ class BlockView:
         "b1s_l",
         "c0s_l",
         "c1s_l",
+        "num_bytes_l",
+        "num_chunks_l",
         "_order",
         "_starts",
         "_uniq",
@@ -435,38 +444,35 @@ class BlockView:
     def __init__(
         self,
         chunk_bytes: int,
-        start: int,
-        stop: int,
-        hot: Tuple[list, ...],
-        np_cols: "Optional[Dict[str, object]]",
+        lists: Tuple[list, ...],
+        arrays: "Optional[Tuple[object, ...]]",
     ) -> None:
+        """``lists``/``arrays``: the eight columns in layout order, as
+        plain lists and as numpy arrays (None on the fallback backing)."""
         self.chunk_bytes = chunk_bytes
-        self.n = stop - start
-        ts, videos, b0s, b1s, c0s, c1s, _nb, _nc = hot
-        self.ts_l = ts[start:stop]
-        self.videos_l = videos[start:stop]
-        self.b0s_l = b0s[start:stop]
-        self.b1s_l = b1s[start:stop]
-        self.c0s_l = c0s[start:stop]
-        self.c1s_l = c1s[start:stop]
-        if np_cols is not None:
-            self.ts = np_cols["t"][start:stop]
-            self.videos = np_cols["video"][start:stop]
-            self.b0s = np_cols["b0"][start:stop]
-            self.b1s = np_cols["b1"][start:stop]
-            self.c0s = np_cols["c0"][start:stop]
-            self.c1s = np_cols["c1"][start:stop]
-            self.num_bytes = np_cols["num_bytes"][start:stop]
-            self.num_chunks = np_cols["num_chunks"][start:stop]
-        else:
-            self.ts = None
-            self.videos = None
-            self.b0s = None
-            self.b1s = None
-            self.c0s = None
-            self.c1s = None
-            self.num_bytes = None
-            self.num_chunks = None
+        (
+            self.ts_l,
+            self.videos_l,
+            self.b0s_l,
+            self.b1s_l,
+            self.c0s_l,
+            self.c1s_l,
+            self.num_bytes_l,
+            self.num_chunks_l,
+        ) = lists
+        self.n = len(self.ts_l)
+        if arrays is None:
+            arrays = (None,) * len(_COLUMNS)
+        (
+            self.ts,
+            self.videos,
+            self.b0s,
+            self.b1s,
+            self.c0s,
+            self.c1s,
+            self.num_bytes,
+            self.num_chunks,
+        ) = arrays
         self._order = None
         self._starts = None
         self._uniq = None
@@ -492,10 +498,12 @@ class BlockView:
             order = _np.argsort(videos, kind="stable")
             sv = videos[order]
             cuts = _np.flatnonzero(sv[1:] != sv[:-1]) + 1
-            starts = _np.concatenate(([0], cuts, [self.n])).astype(_np.int64)
+            # an empty block has no groups: starts is just [0]
+            ends = [self.n] if self.n else []
+            starts = _np.concatenate(([0], cuts, ends)).astype(_np.int64)
             self._order = order
             self._starts = starts
-            self._uniq = sv[starts[:-1]] if self.n else sv
+            self._uniq = sv[starts[:-1]]
         return self._uniq, self._order, self._starts
 
     def video_inverse(self) -> "object":
@@ -539,6 +547,45 @@ class BlockView:
             first[order[starts[:-1]]] = True
             self._first = first
         return self._first
+
+
+def request_block(
+    chunk_bytes: int, ts: list, videos: list, b0s: list, b1s: list
+) -> BlockView:
+    """A :class:`BlockView` over unpacked request columns (plain lists).
+
+    Derives the chunk and count columns for ``chunk_bytes`` as
+    :func:`pack_trace` does, but validates nothing: the caller
+    guarantees time order and byte ranges (the fleet's upstream hop
+    buffers, built from packed shards, do).
+    """
+    k = chunk_bytes
+    if _np is not None:
+        n = len(ts)
+        b0 = _np.fromiter(b0s, _np.int64, n)
+        b1 = _np.fromiter(b1s, _np.int64, n)
+        c0 = b0 // k
+        c1 = b1 // k
+        nb = b1 - b0 + 1
+        nc = c1 - c0 + 1
+        arrays = (
+            _np.fromiter(ts, _np.float64, n),
+            _np.fromiter(videos, _np.int64, n),
+            b0, b1, c0, c1, nb, nc,
+        )
+        lists = (
+            ts, videos, b0s, b1s,
+            c0.tolist(), c1.tolist(), nb.tolist(), nc.tolist(),
+        )
+        return BlockView(k, lists, arrays)
+    c0s = [b // k for b in b0s]
+    c1s = [b // k for b in b1s]
+    lists = (
+        ts, videos, b0s, b1s, c0s, c1s,
+        [hi - lo + 1 for lo, hi in zip(b0s, b1s)],
+        [hi - lo + 1 for lo, hi in zip(c0s, c1s)],
+    )
+    return BlockView(k, lists, None)
 
 
 def pack_trace(

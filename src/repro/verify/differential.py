@@ -46,12 +46,13 @@ __all__ = [
     "replay_counterexample",
 ]
 
-#: Online algorithms with a vectorized block decision kernel
-#: (:meth:`~repro.core.base.VideoCache.handle_span_block_kernel`
-#: override) whose equivalence the fuzzer matrix must also cover.
-#: Every registered policy kernel qualifies: KernelCache overrides the
-#: kernel entry point at class level (screen-less policies fall back to
-#: the scalar block walk inside it, which is still worth pinning).
+#: Online algorithms whose block entry
+#: (:meth:`~repro.core.base.VideoCache.handle_span_block_kernel`) the
+#: fuzzer matrix checks against the per-request reference walk.  Every
+#: hoisted walk qualifies — xLRU, PullLRU, LFU and every registered
+#: policy on KernelCache (screen-less policies run the walk with every
+#: request undecided, which is still worth pinning) — plus Cafe, whose
+#: block entry is the base per-request walk itself.
 KERNEL_ALGORITHMS = ("xLRU", "Cafe", "PullLRU", "LFU") + _policy_kernel_names()
 
 #: (decision value, filled_chunks, evicted_chunks, occupancy after)
@@ -284,18 +285,19 @@ def verify_kernel_lane(
     interval: float = 3600.0,
     build_fast: Optional[Callable[..., VideoCache]] = None,
 ) -> DifferentialResult:
-    """Verify the vectorized block kernel against the scalar block walk.
+    """Verify a cache's block entry against the per-request reference.
 
     Twin caches replay one fuzz scenario block by block: the reference
     cache through :meth:`~repro.core.base.VideoCache.handle_span_block`
-    feeding ``record_packed``, the other through
+    (``handle_span`` per request) feeding ``record_packed``, the other
+    through its
     :meth:`~repro.core.base.VideoCache.handle_span_block_kernel`
-    feeding ``record_packed_block`` — the exact pairing the engine's
-    packed single-pass lane dispatches.  Compared per block: every
-    response (decision and both chunk counts), the kernel's miss index
-    list, disk occupancy, and at the end the metric totals counter by
-    counter.  On the ``REPRO_NO_NUMPY`` lane the kernel falls back to
-    the scalar walk and the check degenerates to fallback parity.
+    feeding ``record_packed_block`` — what the engine's packed lane
+    dispatches.  Compared per block: every response (decision and both
+    chunk counts), the entry's miss index list, disk occupancy, and at
+    the end the metric totals counter by counter.  On the
+    ``REPRO_NO_NUMPY`` lane the hoisted walks run without their
+    screens and the check still compares them with the reference.
     """
     from repro.sim.runner import build_cache
     from repro.trace.columnar import pack_trace
@@ -333,8 +335,8 @@ def verify_kernel_lane(
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
         view = packed.block_view(start, stop)
-        nbytes = [b1 - b0 + 1 for b0, b1 in zip(view.b0s_l, view.b1s_l)]
-        nchunks = [c1 - c0 + 1 for c0, c1 in zip(view.c0s_l, view.c1s_l)]
+        nbytes = view.num_bytes_l
+        nchunks = view.num_chunks_l
         expected = scalar.handle_span_block(
             view.ts_l, view.videos_l, view.b0s_l, view.b1s_l, view.c0s_l, view.c1s_l
         )

@@ -3,7 +3,7 @@
 Each oracle restates its algorithm directly from the paper's equations
 with the simplest possible state — plain dicts and linear min-scans —
 and none of the production data structures (no
-:class:`~repro.structures.treap.TreapMap`, no
+:class:`~repro.structures.scoreheap.ScoreHeap`, no
 :class:`~repro.structures.lru.AccessRecencyList`, no precomputed Eq. 9
 virtual keys).  The differential harness replays fast implementation
 and oracle side by side and requires their decision/fill/evict streams
@@ -12,7 +12,7 @@ semantics, including the parts that are easy to get subtly wrong:
 
 * **eviction order ties** — the production ordered structures break
   score ties by insertion sequence (the ``(score, seq)`` composite key
-  of ``TreapMap``); that tie-break is part of the replayable spec, so
+  of ``ScoreHeap``); that tie-break is part of the replayable spec, so
   every oracle carries the same monotone insertion counter and orders
   candidates by ``(popularity, insertion sequence)`` with a plain sort;
 * **popularity order without virtual keys** — Cafe's production code
@@ -246,7 +246,6 @@ class OracleLfu(VideoCache):
         cost_model: CostModel | None = None,
         min_video_hits: int = 2,
         aging_interval: int = 10_000,
-        treap_seed: int = 0,  # accepted for signature parity; unused
     ) -> None:
         super().__init__(disk_chunks, chunk_bytes, cost_model)
         self.min_video_hits = min_video_hits
@@ -335,7 +334,6 @@ class OracleLruK(VideoCache):
         cost_model: CostModel | None = None,
         k: int = 2,
         history_factor: float = 4.0,
-        treap_seed: int = 0,  # accepted for signature parity; unused
     ) -> None:
         super().__init__(disk_chunks, chunk_bytes, cost_model)
         self.k = k
@@ -436,7 +434,6 @@ class OracleGds(VideoCache):
         disk_chunks: int,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         cost_model: CostModel | None = None,
-        treap_seed: int = 0,  # accepted for signature parity; unused
     ) -> None:
         super().__init__(disk_chunks, chunk_bytes, cost_model)
         self._cached: Dict[ChunkId, Tuple[float, int]] = {}
@@ -493,7 +490,7 @@ class OracleCafe(VideoCache):
     needed — there are no precomputed Eq. 9 virtual keys and no ordered
     structure.  "Least popular" is "largest current IAT" (Theorem 1's
     semantic order), ties broken by insertion sequence like the
-    production treap.  For request ``R`` with chunk set ``S``, missing
+    production heap.  For request ``R`` with chunk set ``S``, missing
     subset ``S'`` and eviction candidates ``S''`` (the ``|S'|`` least
     popular cached chunks outside ``S``), the decision compares::
 
@@ -517,7 +514,6 @@ class OracleCafe(VideoCache):
         horizon: Optional[float] = None,
         ghost_factor: float = 4.0,
         use_video_iat_estimate: bool = True,
-        treap_seed: int = 0,  # accepted for signature parity; unused
     ) -> None:
         super().__init__(disk_chunks, chunk_bytes, cost_model)
         self.gamma = gamma
@@ -579,7 +575,7 @@ class OracleCafe(VideoCache):
         chunks = list(request.chunk_ids(self.chunk_bytes))
 
         # Track popularity regardless of the decision; refresh the
-        # insertion sequence of cached chunks (the production treap
+        # insertion sequence of cached chunks (the production heap
         # re-inserts them) and the recency of ghost chunks.
         for chunk in chunks:
             self._record(chunk, now)

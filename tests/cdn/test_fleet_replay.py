@@ -20,6 +20,7 @@ import pytest
 from repro.cdn.faults import FaultEvent, FaultSchedule
 from repro.cdn.multiserver import CdnSimulator
 from repro.cdn.topology import hierarchy, peered_edges
+from repro.sim.engine import NO_KERNELS_ENV
 from repro.sim.runner import build_cache
 from repro.trace.fleet import FleetTrace
 from repro.verify.faultcheck import _fingerprint
@@ -86,6 +87,27 @@ class TestFleetEquivalenceMatrix:
         assert _fingerprint(obj) == _fingerprint(packed)
         # Faults require the stepwise merged walk, not the batched lane.
         assert packed.report.extra["trace_format"] == "packed"
+
+    @pytest.mark.parametrize("edge_algo,parent_algo", [("xLRU", "Cafe"), ("Cafe", "xLRU")])
+    def test_batched_lane_same_with_kernels_off(
+        self, region_traces, monkeypatch, edge_algo, parent_algo
+    ):
+        """The whole-shard edge batches and the leveled upstream buffers
+        give the same bytes through each cache's own block walk and
+        through the per-request reference (``REPRO_NO_KERNELS=1``)."""
+        _traces, shards = region_traces
+
+        def run():
+            edges = {name: build_cache(edge_algo, 128) for name in REGIONS}
+            sim = CdnSimulator(hierarchy(edges, build_cache(parent_algo, 1024)))
+            return sim.run(FleetTrace(shards))
+
+        walked = run()
+        monkeypatch.setenv(NO_KERNELS_ENV, "1")
+        reference = run()
+        assert walked.report.extra["trace_format"] == "packed-batched"
+        assert reference.report.extra["trace_format"] == "packed-batched"
+        assert _fingerprint(walked) == _fingerprint(reference)
 
     def test_shard_mapping_equals_fleet(self, region_traces):
         """A plain mapping of shards replays like an explicit FleetTrace."""

@@ -100,6 +100,20 @@ class TestPackedEquivalence:
         assert via_packed.report.extra["trace_format"] == "packed"
         assert via_packed.totals == via_objects.totals
 
+    def test_collector_chunk_size_differs_from_cache(self, trace, packed):
+        """The byte accounting follows the collector's chunk size even
+        when it is neither the cache's nor the packed trace's."""
+        cache_k = build_cache("xLRU", DISK).chunk_bytes
+
+        def run(requests):
+            cache = build_cache("xLRU", DISK, chunk_bytes=cache_k // 2)
+            metrics = MetricsCollector(cache.cost_model, chunk_bytes=cache_k // 4)
+            return replay(cache, requests, metrics=metrics)
+
+        via_packed = run(packed)
+        assert via_packed.report.extra["trace_format"] == "packed"
+        assert via_packed.totals == run(trace).totals
+
 
 class TestPackedFallbacks:
     def test_on_request_hook_forces_object_path(self, packed):

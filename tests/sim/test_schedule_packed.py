@@ -227,11 +227,14 @@ from repro.trace.requests import Request
 
 
 def _stall_execute_group(*args):
-    # Park the (forked) worker until it is orphaned by the parent\'s
-    # death, then exit quietly -- keeps the pool "busy" for the whole
-    # test without leaving 60s stragglers behind.
+    # Park the (forked) worker until the sweep process that forked it
+    # is gone, then exit quietly -- keeps the pool "busy" for the whole
+    # test without leaving 60s stragglers behind.  Orphans may be
+    # reparented to a subreaper, so watch for the original parent
+    # rather than for pid 1.
+    owner = os.getppid()
     deadline = time.monotonic() + 60.0
-    while os.getppid() != 1 and time.monotonic() < deadline:
+    while os.getppid() == owner and time.monotonic() < deadline:
         time.sleep(0.05)
     os._exit(0)
 
@@ -251,16 +254,39 @@ sched.run(configs, requests)
 '''
 
 
+def _live_group_members(pgid: int) -> list:
+    """Pids of the non-zombie processes in process group ``pgid``."""
+    alive = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # exited while we looked
+            continue
+        state, _ppid, group = stat.rsplit(")", 1)[1].split()[:3]
+        if int(group) == pgid and state != "Z":
+            alive.append(int(entry))
+    return alive
+
+
 @pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="needs a POSIX /dev/shm"
+    not os.path.isdir("/dev/shm") or not os.path.isdir("/proc"),
+    reason="needs a POSIX /dev/shm and /proc",
 )
 def test_sigterm_releases_segments_and_exits_cleanly(tmp_path):
-    """SIGTERM mid-sweep must not leak /dev/shm segments.
+    """SIGTERM mid-sweep must not leak /dev/shm segments or processes.
 
     The default SIGTERM disposition kills the process without running
     ``finally`` blocks, so the parent-owned shared trace segment would
     outlive the sweep.  The installed handler unlinks it, syncs the
-    checkpoint journal, and exits ``128 + SIGTERM``.
+    checkpoint journal, stops the pool's workers, and exits
+    ``128 + SIGTERM``.  An idle worker blocks reading the pool's call
+    queue, whose write end it inherited, so without the stop it would
+    never see EOF and would keep the unlinked segment mapped forever.
+    The child runs in its own session, so every process it starts
+    shares its process group.
     """
     import signal as signal_module
     import subprocess
@@ -278,7 +304,9 @@ def test_sigterm_releases_segments_and_exits_cleanly(tmp_path):
 
     before = set(os.listdir("/dev/shm"))
     proc = subprocess.Popen(
-        [sys_module.executable, str(script), str(journal)], env=env
+        [sys_module.executable, str(script), str(journal)],
+        env=env,
+        start_new_session=True,
     )
     try:
         observed = set()
@@ -296,14 +324,22 @@ def test_sigterm_releases_segments_and_exits_cleanly(tmp_path):
         assert observed, "sweep child never created a shared trace segment"
         proc.send_signal(signal_module.SIGTERM)
         code = proc.wait(timeout=30)
+        deadline = time_module.monotonic() + 10.0
+        survivors = _live_group_members(proc.pid)
+        while survivors and time_module.monotonic() < deadline:
+            time_module.sleep(0.05)
+            survivors = _live_group_members(proc.pid)
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        try:
+            os.killpg(proc.pid, signal_module.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
     assert code == 128 + signal_module.SIGTERM
     leftover = observed & set(os.listdir("/dev/shm"))
     assert leftover == set(), f"leaked shared segments: {sorted(leftover)}"
+    assert survivors == [], f"processes outlived the sweep: {survivors}"
 
 
 def test_checkpoint_sync_tolerates_missing_and_flushes(tmp_path):

@@ -1,8 +1,9 @@
 """Unit, property and differential tests for ScoreHeap.
 
-ScoreHeap is the lazy-deletion heap that replaced TreapMap under the
-decision kernels; its observable contract is *exact* ``(score, seq)``
-order parity with the treap, plus two kernel-facing extensions:
+ScoreHeap is the lazy-deletion heap under the decision kernels; its
+observable contract is *exact* ascending ``(score, seq)`` order (each
+insert takes the next sequence number), plus two kernel-facing
+extensions:
 ``raw_index`` (stable read-only key dict) and ``pop_n_smallest`` (fused
 eviction run).
 """
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.structures.scoreheap import ScoreHeap
-from repro.structures.treap import TreapMap
 
 
 class TestBasics:
@@ -170,30 +170,40 @@ class TestPopNSmallest:
         max_size=150,
     )
 )
-def test_property_matches_treap(ops):
-    """ScoreHeap is observably TreapMap under interleaved operations —
-    same results, same (score, seq) eviction order, drop-in."""
-    heap = ScoreHeap(seed=42)
-    treap = TreapMap(seed=42)
+def test_property_matches_sorted_model(ops):
+    """ScoreHeap is observably a dict of ``item -> (score, seq)`` read
+    in sorted order under interleaved operations — same results, same
+    eviction order."""
+    heap = ScoreHeap()
+    model: dict = {}
+    seq = 0
+
+    def ascending():
+        # seq is unique, so the sort never compares items
+        return [(item, key[0]) for key, item in sorted((k, i) for i, k in model.items())]
+
     for op, item, score in ops:
         if op == "insert":
             heap.insert(item, score)
-            treap.insert(item, score)
+            model[item] = (score, seq)
+            seq += 1
         elif op == "remove":
-            assert heap.discard(item) == treap.discard(item)
+            assert heap.discard(item) == (model.pop(item, None) is not None)
         elif op == "pop_min":
-            if len(treap):
-                assert heap.pop_min() == treap.pop_min()
+            if model:
+                want = ascending()[0]
+                del model[want[0]]
+                assert heap.pop_min() == want
             else:
                 with pytest.raises(KeyError):
                     heap.pop_min()
         elif op == "n_smallest":
-            assert heap.n_smallest(item) == treap.n_smallest(item)
-        else:  # pop_n: fused on the heap, n_smallest+remove on the treap
-            want = treap.n_smallest(item % 4)
+            assert heap.n_smallest(item) == ascending()[:item]
+        else:  # pop_n: fused on the heap
+            want = ascending()[: item % 4]
             for victim, _score in want:
-                treap.remove(victim)
+                del model[victim]
             assert heap.pop_n_smallest(item % 4) == want
-        assert len(heap) == len(treap)
+        assert len(heap) == len(model)
     heap.check_invariants()
-    assert list(heap.items_ascending()) == list(treap.items_ascending())
+    assert list(heap.items_ascending()) == ascending()

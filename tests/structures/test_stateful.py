@@ -16,57 +16,57 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.structures.lru import AccessRecencyList
-from repro.structures.treap import TreapMap
+from repro.structures.scoreheap import ScoreHeap
 
 ITEMS = st.integers(0, 25)
 SCORES = st.floats(-1e6, 1e6, allow_nan=False)
 
 
-class TreapMachine(RuleBasedStateMachine):
+class ScoreHeapMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.treap = TreapMap(seed=123)
+        self.heap = ScoreHeap()
         self.model: dict[int, tuple[float, int]] = {}
         self.seq = 0
 
     @rule(item=ITEMS, score=SCORES)
     def insert(self, item, score):
-        self.treap.insert(item, score)
+        self.heap.insert(item, score)
         self.model[item] = (score, self.seq)
         self.seq += 1
 
     @rule(item=ITEMS)
     def discard(self, item):
         expected = item in self.model
-        assert self.treap.discard(item) is expected
+        assert self.heap.discard(item) is expected
         self.model.pop(item, None)
 
     @precondition(lambda self: self.model)
     @rule()
     def pop_min(self):
         expected = min(self.model, key=lambda k: self.model[k])
-        item, score = self.treap.pop_min()
+        item, score = self.heap.pop_min()
         assert item == expected
         assert score == self.model.pop(expected)[0]
 
     @rule(n=st.integers(0, 8))
     def peek_n_smallest(self, n):
-        got = self.treap.n_smallest(n)
+        got = self.heap.n_smallest(n)
         expected = sorted(self.model, key=lambda k: self.model[k])[:n]
         assert [item for item, _ in got] == expected
 
     @invariant()
     def sizes_agree(self):
-        assert len(self.treap) == len(self.model)
+        assert len(self.heap) == len(self.model)
 
     @invariant()
     def scores_agree(self):
         for item, (score, _seq) in self.model.items():
-            assert self.treap.score(item) == score
+            assert self.heap.score(item) == score
 
     @invariant()
-    def tree_is_valid(self):
-        self.treap.check_invariants()
+    def heap_is_valid(self):
+        self.heap.check_invariants()
 
 
 class RecencyMachine(RuleBasedStateMachine):
@@ -114,8 +114,8 @@ class RecencyMachine(RuleBasedStateMachine):
             assert self.lru.last_access(key) == t
 
 
-TestTreapStateful = TreapMachine.TestCase
-TestTreapStateful.settings = settings(max_examples=40, stateful_step_count=60)
+TestScoreHeapStateful = ScoreHeapMachine.TestCase
+TestScoreHeapStateful.settings = settings(max_examples=40, stateful_step_count=60)
 
 TestRecencyStateful = RecencyMachine.TestCase
 TestRecencyStateful.settings = settings(max_examples=40, stateful_step_count=60)

@@ -6,6 +6,8 @@ own contracts so a broken oracle can't silently "agree" with a broken
 fast cache.
 """
 
+import inspect
+
 import pytest
 
 from repro.core.base import Decision
@@ -45,11 +47,13 @@ class TestRegistryCoverage:
         assert oracle.chunk_bytes == fast.chunk_bytes
         assert oracle.cost_model.alpha_f2r == fast.cost_model.alpha_f2r
 
-    @pytest.mark.parametrize("name", ["Cafe", "LFU", "LRU-K", "GDS"])
-    def test_treap_seed_accepted_for_signature_parity(self, name):
-        # the fast side takes a treap_seed; the oracle must swallow the
-        # same kwargs so one scenario spec can build both lanes
-        build_oracle(name, 8, chunk_bytes=K, treap_seed=99)
+    @pytest.mark.parametrize("name", ["Cafe", "GDS", "LFU", "LRU-K", "PullLRU", "xLRU"])
+    def test_constructor_parameters_match_fast_side(self, name):
+        # one scenario spec builds both lanes, so each hand-written
+        # oracle takes exactly the fast side's constructor parameters
+        oracle = inspect.signature(ORACLE_FACTORIES[name]).parameters
+        fast = inspect.signature(CACHE_FACTORIES[name]).parameters
+        assert list(oracle) == list(fast)
 
     def test_housekeeping_knobs_accepted(self):
         # the scenario matrix shrinks these to force the cleanup paths
