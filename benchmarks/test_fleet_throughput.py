@@ -166,9 +166,9 @@ def test_fleet_throughput(report, strict, scale):
     n = sum(len(trace) for trace in traces.values())
     fleet = FleetTrace(shards)
 
-    # The merge plan is computed once per fleet and amortized over every
-    # replay (experiments share one fleet across arms); time it apart so
-    # the per-replay medians below measure exactly what repeats.
+    # The merge plan is a one-off set-up cost that no replay lane uses;
+    # it is timed apart so the per-replay medians below measure exactly
+    # what repeats.
     t0 = time.perf_counter()
     fleet.merge_runs()
     plan_seconds = time.perf_counter() - t0
@@ -200,14 +200,15 @@ def test_fleet_throughput(report, strict, scale):
         == "packed-batched"
     )
 
-    # Byte identity under faults (stepwise merged walk, one pass each).
+    # Byte identity under faults (the batched lane cut into fault
+    # epochs, one pass each).
     span = max(
         float(shard.column("t")[-1]) for shard in shards.values() if len(shard)
     )
     faulted_object = _make_sim(sizing, faults=_fault_schedule(span)).run(traces)
     faulted_packed = _make_sim(sizing, faults=_fault_schedule(span)).run(fleet)
     assert _fingerprint(faulted_object) == _fingerprint(faulted_packed)
-    assert faulted_packed.report.extra["trace_format"] == "packed"
+    assert faulted_packed.report.extra["trace_format"] == "packed-batched"
     # The schedule actually bites (guards against vacuous equality).
     assert faulted_packed.availability["africa"].failover_hops > 0
     assert _fingerprint(faulted_packed) != _fingerprint(results["packed_fleet"])

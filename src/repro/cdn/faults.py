@@ -33,8 +33,10 @@ Routing semantics inside :class:`~repro.cdn.multiserver.CdnSimulator`:
 
 Everything is deterministic: the same topology, traces and schedule
 produce byte-identical results, and an **empty schedule (or none) is
-exactly free** — the simulator's hot path does a single ``is None``
-check and stays byte-identical to a fault-unaware replay.
+exactly free** — the object lane does a single ``is None`` check per
+hop, the packed lane replays one epoch (fault state only changes at
+:meth:`FaultRuntime.boundaries`), and both stay byte-identical to a
+fault-unaware replay.
 """
 
 from __future__ import annotations
@@ -129,9 +131,6 @@ class FaultSchedule:
 
     def __bool__(self) -> bool:
         return bool(self.events)
-
-    def for_server(self, name: str) -> Tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.server == name)
 
     def describe(self) -> str:
         if not self.events:
@@ -365,6 +364,10 @@ class FaultRuntime:
         intervals = self._degrade.get(name)
         return 1.0 if intervals is None else intervals.factor_at(t)
 
+    def browned_out(self, t: float) -> bool:
+        """Whether a brownout window covers ``t`` (consumes no drops)."""
+        return any(start <= t < end for start, end, _f in self._brownout)
+
     def origin_drops(self, t: float) -> bool:
         """Whether the origin sheds this request (consumes drop stream).
 
@@ -380,6 +383,16 @@ class FaultRuntime:
         return False
 
     # -- timeline ------------------------------------------------------------
+
+    def boundaries(self) -> List[float]:
+        """Every event's ``t`` and ``t_end``, sorted and distinct.
+
+        Between two consecutive boundaries the fault state (who is
+        down, each degrade factor, the brownout) is constant.
+        """
+        return sorted(
+            {x for event in self.schedule.events for x in (event.t, event.t_end)}
+        )
 
     def advance_to(self, t: float) -> List[str]:
         """Apply every cache wipe whose recovery time has passed.

@@ -21,30 +21,35 @@ absorb at its "lines of defense") and redirect-hop counts.
 Two replay lanes produce byte-identical results:
 
 * the **object lane** walks ``heapq``-merged ``Request`` streams one
-  step at a time (any mapping of request iterables, validated on the
-  fly during the merge walk);
+  request at a time through :meth:`CdnSimulator._handle_span` (any
+  mapping of request iterables, validated on the fly during the merge
+  walk).  It is the reference the packed lane is checked against;
 * the **packed lane** (a :class:`~repro.trace.fleet.FleetTrace`, or a
-  mapping of :class:`~repro.trace.columnar.PackedTrace` shards).  When
-  no faults are scheduled and no redirect/fill chain can revisit a
-  server (any hierarchy qualifies; peered rings do not), each edge's
-  whole shard goes through one call of the cache's block entry
-  (``handle_span_block_kernel``), and the hops its miss list names are
-  walked level by level, one block-entry call per upstream buffer;
-  otherwise the precomputed merge plan is walked per request through
-  ``handle_span``, preserving fault semantics exactly.
+  mapping of :class:`~repro.trace.columnar.PackedTrace` shards) runs
+  shard-batched: each edge's shard goes through one call of the
+  cache's block entry (``handle_span_block_kernel``), and the hops its
+  miss list names are walked level by level, one block-entry call per
+  upstream buffer.  A fault schedule cuts the replay into *epochs* at
+  every event's ``t`` and ``t_end``; fault state is constant within
+  one, so each epoch runs the same batched lane with the fault
+  semantics applied once per epoch.  A packed fleet whose hop graph
+  has a cycle, or whose hop chains can reach a traced edge (peered
+  rings), replays on the object lane instead, and the run report's
+  events say why.
 
 A :class:`~repro.cdn.faults.FaultSchedule` can be injected to model
 server outages, cold restarts (cache wipes), degraded ingress links
 and origin brownouts; see :mod:`repro.cdn.faults` for the routing and
-accounting semantics.  Without a schedule the fault machinery costs a
-single ``is None`` check per hop and the replay is byte-identical to a
-fault-unaware one.
+accounting semantics.  Without a schedule the object lane pays one
+``is None`` check per hop and the packed lane runs as a single epoch,
+byte-identical to a fault-unaware replay.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -161,7 +166,9 @@ class CdnSimulator:
     schedule: down servers are skipped via failover routing, cold
     restarts wipe cache state at recovery, degraded links and origin
     brownouts are accounted.  ``faults=None`` and an empty schedule are
-    equivalent — and exactly free.
+    equivalent — and exactly free.  Faulted packed replays stay on the
+    shard-batched lane, one epoch per stretch of constant fault state
+    (``report.extra["epochs"]``).
     """
 
     def __init__(
@@ -194,8 +201,8 @@ class CdnSimulator:
         — including one-shot generators, whose lengths are unknown
         (progress callbacks then receive ``total=None``).  All forms
         produce byte-identical results; the packed forms replay through
-        the caches' block entries unless faults or a hop cycle forbid
-        it.  Unsorted traces fail fast during the merge walk with the
+        the caches' block entries unless the hop graph forbids it.
+        Unsorted traces fail fast during the merge walk with the
         offending edge and index.
         """
         fleet: Optional[FleetTrace] = None
@@ -230,59 +237,29 @@ class CdnSimulator:
         events: List[EngineEvent] = []
 
         timer = StageTimer()
-        if fleet is not None:
-            total: Optional[int] = len(fleet)
-        else:
-            try:
-                total = sum(len(trace) for trace in edge_traces.values())
-            except TypeError:  # generator/streaming traces have no len()
-                total = None
+        traces = fleet.shards if fleet is not None else edge_traces
+        try:
+            total: Optional[int] = sum(len(trace) for trace in traces.values())
+        except TypeError:  # generator/streaming traces have no len()
+            total = None
         ticker = ProgressTicker(progress, every=progress_every, total=total)
-        mode = "object"
+        extra: Dict[str, object] = {
+            "edges": len(names),
+            "servers": len(self.topology.servers),
+            "trace_format": "object",
+        }
         t0 = time.perf_counter()
         try:
             if fleet is not None:
-                mode = self._replay_fleet(fleet, result, rt, events, ticker)
-            elif rt is None:
-                handle = self._handle_span
-                hops_map = result.redirect_hops
-                for name, request in _merge_by_time(edge_traces):
-                    result.num_user_requests += 1
-                    nbytes = request.b1 - request.b0 + 1
-                    result.user_requested_bytes += nbytes
-                    hops = handle(
-                        name, request.t, request.video,
-                        request.b0, request.b1, nbytes, result, 0,
-                    )
-                    hops_map[hops] = hops_map.get(hops, 0) + 1
-                    ticker.tick(result.num_user_requests)
+                self._replay_fleet(fleet, result, rt, events, ticker, extra)
             else:
-                handle = self._handle_span
-                hops_map = result.redirect_hops
-                for name, request in _merge_by_time(edge_traces):
-                    t = request.t
-                    for wiped in rt.advance_to(t):
-                        events.append(EngineEvent(t, "cache-wipe", wiped))
-                    result.num_user_requests += 1
-                    nbytes = request.b1 - request.b0 + 1
-                    result.user_requested_bytes += nbytes
-                    hops = handle(
-                        name, t, request.video,
-                        request.b0, request.b1, nbytes, result, 0, edge=name,
-                    )
-                    hops_map[hops] = hops_map.get(hops, 0) + 1
-                    ticker.tick(result.num_user_requests)
+                self._replay_objects(edge_traces, result, rt, events, ticker)
         finally:
             self._rt = None
         wall = time.perf_counter() - t0
         timer.add("replay", wall, result.num_user_requests)
         ticker.finish(result.num_user_requests)
 
-        extra: Dict[str, object] = {
-            "edges": len(names),
-            "servers": len(self.topology.servers),
-            "trace_format": mode,
-        }
         if rt is not None:
             result.availability = rt.availability
             result.faults = self.faults
@@ -302,6 +279,30 @@ class CdnSimulator:
 
     # -- internals -----------------------------------------------------------
 
+    def _replay_objects(self, edge_traces, result, rt, events, ticker) -> None:
+        """The object lane: one :meth:`_handle_span` walk per request.
+
+        Requests are ``heapq``-merged across edges (validated on the
+        fly).  Before each one, ``rt`` applies every cache wipe whose
+        recovery time has passed.
+        """
+        handle = self._handle_span
+        hops_map = result.redirect_hops
+        for name, request in _merge_by_time(edge_traces):
+            t = request.t
+            if rt is not None:
+                for wiped in rt.advance_to(t):
+                    events.append(EngineEvent(t, "cache-wipe", wiped))
+            result.num_user_requests += 1
+            nbytes = request.b1 - request.b0 + 1
+            result.user_requested_bytes += nbytes
+            hops = handle(
+                name, t, request.video, request.b0, request.b1, nbytes,
+                result, 0, edge=name,
+            )
+            hops_map[hops] = hops_map.get(hops, 0) + 1
+            ticker.tick(result.num_user_requests)
+
     def _replay_fleet(
         self,
         fleet: FleetTrace,
@@ -309,207 +310,211 @@ class CdnSimulator:
         rt: Optional[FaultRuntime],
         events: List[EngineEvent],
         ticker: ProgressTicker,
-    ) -> str:
-        """Replay a packed fleet; returns the lane name for the report.
+        extra: Dict[str, object],
+    ) -> None:
+        """Replay a packed fleet, noting its lane (and epochs) in ``extra``.
 
-        Per edge, the shard is rechunked once to the edge cache's chunk
-        size; the precomputed merge plan then drives either the
-        shard-batched lane (fault-free and no redirect/fill cycle —
-        each whole shard through the cache's block entry) or the
-        per-request lane (faults or cyclic wiring — scalar
-        ``_handle_span`` walk in exact merged order).
+        A fleet whose hop chains can reach a traced edge, or whose hop
+        graph has a cycle, replays on the object lane, and a
+        ``lane-fallback`` event names the reason.  Every other fleet
+        runs on the shard-batched lane.  Per edge, the shard is
+        rechunked once to the edge cache's chunk size, then cut at
+        every fault event's ``t`` and ``t_end`` into *epochs* of
+        constant fault state, each replayed by :meth:`_replay_epoch`.
+        A request exactly on a boundary falls into the later epoch, as
+        the ``[t, t_end)`` windows say.  A fault-free replay is a
+        single epoch.
         """
-        kernels_on = _kernels_enabled()
+        order, reason = self._hop_order(fleet.names)
+        if order is None:
+            events.append(
+                EngineEvent(
+                    0.0, "lane-fallback",
+                    f"packed fleet replayed on the object lane: {reason}",
+                )
+            )
+            self._replay_objects(fleet.shards, result, rt, events, ticker)
+            return
+        # Lanes in name order: a lane's index is the edge-name rank that
+        # breaks heapq.merge's (t, position) ties.
         lanes = []
-        for name in fleet.names:
+        for name in sorted(fleet.names):
             server = self.topology[name]
-            cache = server.cache
-            shard = pack_trace(fleet.shards[name], chunk_bytes=cache.chunk_bytes)
-            ts, videos, b0s, b1s, c0s, c1s, num_bytes, _nc = shard.hot_columns()
+            shard = pack_trace(
+                fleet.shards[name], chunk_bytes=server.cache.chunk_bytes
+            )
             lanes.append(
-                (
-                    name,
-                    server,
-                    _block_entry(cache, kernels_on),
-                    result.per_server[name],
-                    shard,
-                    ts, videos, b0s, b1s, c0s, c1s, num_bytes,
-                )
+                (name, server, result.per_server[name], shard)
+                + shard.hot_columns()[:7]
             )
-        if rt is None and self._hops_avoid_traced_edges(fleet.names):
-            self._replay_fleet_batched(
-                lanes, fleet.names, result, ticker, kernels_on
+            result.user_requested_bytes += shard.total_requested_bytes()
+        bounds = rt.boundaries() if rt is not None else []
+        cuts = [
+            [0] + [bisect_left(lane[4], b) for b in bounds] + [len(lane[4])]
+            for lane in lanes
+        ]
+        kernels_on = _kernels_enabled()
+        epochs = 0
+        for i in range(len(bounds) + 1):
+            spans = [(cut[i], cut[i + 1]) for cut in cuts]
+            firsts = [
+                lane[4][lo] for lane, (lo, hi) in zip(lanes, spans) if hi > lo
+            ]
+            if not firsts:
+                continue
+            epochs += 1
+            t_first = min(firsts)
+            if rt is not None:
+                # A cold restart's wipe lands on its first request at or
+                # after recovery, which opens an epoch, as in the object
+                # lane.
+                for wiped in rt.advance_to(t_first):
+                    events.append(EngineEvent(t_first, "cache-wipe", wiped))
+            self._replay_epoch(
+                lanes, spans, order, result, rt, t_first, kernels_on, ticker
             )
-            return "packed-batched"
-        self._replay_fleet_stepwise(
-            lanes, fleet.merge_runs(), result, rt, events, ticker
-        )
-        return "packed"
+        extra["trace_format"] = "packed-batched"
+        if rt is not None:
+            extra["epochs"] = epochs
 
-    def _replay_fleet_batched(
-        self, lanes, names, result, ticker, kernels_on
+    def _replay_epoch(
+        self, lanes, spans, order, result, rt, t_epoch, kernels_on, ticker
     ) -> None:
-        """Shard-batched packed replay (fault-free; hops avoid edges).
+        """One epoch on the shard-batched lane: edge blocks, then hops.
 
-        Each edge cache sees exactly its own shard (the guard proved no
-        hop chain can deliver extra traffic to a traced edge), so each
-        whole shard goes through one call of the cache's block entry,
-        whose miss list names the hop-generating responses — fills and
-        redirects, typically a small minority.  Only those are then
-        walked in global merged time order, which is what the shared
-        upstream caches observe; restricting the merged order to
-        hop-generating requests preserves their relative order, so
-        results are byte-identical to the object walk.
-        """
-        hops_map = result.redirect_hops
-        name_rank = {name: r for r, name in enumerate(sorted(names))}
-        count = 0
-        pending = []
-        edge_responses = []
-        for e, lane in enumerate(lanes):
-            name, _server, entry, collector, shard, ts = lane[:6]
-            view = shard.block_view(0, len(shard))
-            responses, misses = entry(view)
-            n_edge = view.n
-            count += n_edge
-            result.num_user_requests += n_edge
-            rank = name_rank[name]
-            # (t, position, name-rank) replicates heapq.merge's tie order
-            pending.extend([(ts[j], j, rank, e) for j in misses])
-            if view.vectorized:
-                collector.record_packed_block(
-                    view.ts, view.num_bytes, view.num_chunks, responses, misses
-                )
-                result.user_requested_bytes += int(view.num_bytes.sum())
-            else:
-                collector.record_packed(
-                    view.ts_l, view.num_bytes_l, view.num_chunks_l, responses
-                )
-                result.user_requested_bytes += sum(view.num_bytes_l)
-            hits = n_edge - len(misses)
-            if hits:
-                hops_map[0] = hops_map.get(0, 0) + hits
-            edge_responses.append(responses)
-            ticker.tick_batch(count)
-        pending.sort()
-        order = self._hop_topo_order(names)
-        if order is not None:
-            self._walk_hops_leveled(
-                lanes, pending, edge_responses, order, result, kernels_on
-            )
-        else:
-            self._walk_hops_scalar(lanes, pending, edge_responses, result)
+        Each edge cache sees exactly its own shard (the hop graph check
+        proved no hop chain can deliver extra traffic to a traced edge),
+        so each edge's slice goes through one call of the cache's block
+        entry, whose miss list names the hop-generating responses —
+        fills and redirects, typically a small minority.  Each becomes a
+        chain for :meth:`_walk_hops`.
 
-    def _walk_hops_scalar(
-        self, lanes, pending, edge_responses, result
-    ) -> None:
-        """Depth-first hop walk: each chain runs to completion in turn.
-
-        The fully general fallback (redirect rings among untraced
-        servers make level batching impossible): every hop-generating
-        edge response recurses through :meth:`_handle_span` exactly as
-        the object lane would, in global merged order.
+        Fault state is constant within the epoch, so ``rt`` is asked
+        once per server at ``t_epoch`` (the epoch's first request).  A
+        down edge makes no cache call: its whole slice fails over.
+        Fills fold into ``rt`` per fill, in order.  In an epoch where
+        the origin may drop requests, edge blocks are recorded after
+        the walk, with each loss recorded between them in time order.
         """
         hops_map = result.redirect_hops
         origin_name = self.topology.origin_name
-        max_redirects = self.max_redirects
-        handle = self._handle_span
         serve = Decision.SERVE
-        for t, j, _rank, e in pending:
+        drops = rt is not None and rt.browned_out(t_epoch)
+        buffers: Dict[str, list] = {}
+        pend_to = buffers.setdefault
+        blocks = {}  # brownout epochs: edge -> its unrecorded block
+        for e, (lane, (lo, hi)) in enumerate(zip(lanes, spans)):
             (
-                _name, server, _entry, _collector, _shard,
-                _ts, videos, b0s, b1s, c0s, c1s, num_bytes,
-            ) = lanes[e]
-            response = edge_responses[e][j]
-            if response.decision is serve:
-                filled = response.filled_chunks
-                fill_from = server.fill_from
-                if filled and fill_from is not None:
-                    # Chunk-aligned upstream fill, clamped to the
-                    # request's own chunk range (see _fill_requests).
-                    k = server.cache.chunk_bytes
-                    c0 = c0s[j]
-                    last = min(c0 + filled, c1s[j] + 1)
-                    fb1 = last * k - 1
-                    fb0 = c0 * k
-                    handle(
-                        fill_from, t, videos[j], fb0, fb1,
-                        fb1 - fb0 + 1, result, 0, user=False,
-                    )
-                hops_map[0] = hops_map.get(0, 0) + 1
-            else:
-                target = server.redirect_to
-                if target is None or 1 >= max_redirects:
-                    target = origin_name
-                hops = handle(
-                    target, t, videos[j], b0s[j], b1s[j],
-                    num_bytes[j], result, 1,
+                name, server, collector, shard,
+                ts, videos, b0s, b1s, c0s, c1s, num_bytes,
+            ) = lane
+            if hi == lo:
+                continue
+            n = hi - lo
+            result.num_user_requests += n
+            target = server.redirect_to
+            if target is None or 1 >= self.max_redirects:
+                target = origin_name
+            # Chains start (t, position, edge rank): heapq.merge's order.
+            redirects = pend_to(target, [])
+            if rt is not None and rt.is_down(name, t_epoch):
+                # Every request fails over along the secondary map,
+                # exactly as a redirect would travel.
+                stats = rt.availability[name]
+                stats.down_requests += n
+                stats.failover_hops += n
+                redirects.extend(
+                    [
+                        (ts[j], j, e, videos[j], b0s[j], b1s[j],
+                         num_bytes[j], 1, True, True)
+                        for j in range(lo, hi)
+                    ]
                 )
-                hops_map[hops] = hops_map.get(hops, 0) + 1
+                ticker.tick_batch(result.num_user_requests)
+                continue
+            view = shard.block_view(lo, hi)
+            cache = server.cache
+            k = cache.chunk_bytes
+            occupancy = len(cache)
+            responses, misses = _block_entry(cache, kernels_on)(view)
+            if rt is not None:
+                _note_fills(
+                    rt, name, k, occupancy, view.ts_l, responses, misses
+                )
+            if drops:
+                blocks[e] = (view, responses, misses)
+            else:
+                _record_block(collector, view, responses, misses)
+            fill_from = server.fill_from
+            fills = pend_to(fill_from, []) if fill_from is not None else None
+            served = n
+            for i in misses:
+                response = responses[i]
+                j = lo + i
+                if response.decision is serve:
+                    filled = response.filled_chunks
+                    if filled and fills is not None:
+                        # Chunk-aligned upstream fill, clamped to the
+                        # request's own chunk range.
+                        c0 = c0s[j]
+                        last = min(c0 + filled, c1s[j] + 1)
+                        fb1 = last * k - 1
+                        fb0 = c0 * k
+                        fills.append(
+                            (ts[j], j, e, videos[j], fb0, fb1,
+                             fb1 - fb0 + 1, 0, False, False)
+                        )
+                else:
+                    served -= 1
+                    redirects.append(
+                        (ts[j], j, e, videos[j], b0s[j], b1s[j],
+                         num_bytes[j], 1, True, False)
+                    )
+            if served:
+                hops_map[0] = hops_map.get(0, 0) + served
+            ticker.tick_batch(result.num_user_requests)
+        lost = [(lane[0], []) for lane in lanes] if drops else None
+        self._walk_hops(buffers, order, result, rt, t_epoch, kernels_on, lost)
+        if drops:
+            for e, (lane, (lo, _hi), (_name, losses)) in enumerate(
+                zip(lanes, spans, lost)
+            ):
+                block = blocks.get(e)
+                if block is not None:
+                    losses = [(j - lo, t, nbytes) for j, t, nbytes in losses]
+                    _record_block(lane[2], *block, losses)
+                else:
+                    for _j, t, nbytes in losses:
+                        lane[2].record_lost(t, nbytes)
 
-    def _walk_hops_leveled(
-        self, lanes, pending, edge_responses, order, result, kernels_on
+    def _walk_hops(
+        self, buffers, order, result, rt, t_epoch, kernels_on, lost
     ) -> None:
-        """Level-batched hop walk over an acyclic hop subgraph.
+        """Level-batched hop walk over the acyclic hop subgraph.
 
-        Chains carry the global merged position (``seq``) of their
-        originating request.  Processing servers in topological order
-        guarantees every chain reaching a server is buffered before
-        that server runs, and replaying each buffer in ``seq`` order
-        reproduces the object lane's depth-first arrival order exactly
-        (chains are independent, each visits a server at most once).
-        Each whole buffer then goes through one call of the server's
-        block entry and one record call, instead of one recursive
-        ``_handle_span`` per hop.
+        ``buffers`` maps each server to the chains bound for it:
+        ``(t, position, edge, video, b0, b1, nbytes, hop, user,
+        failover)``, where ``(t, position, edge)`` identifies the
+        originating user request and sorts as the global merged order,
+        and ``failover`` marks a chain that skipped a down server.
+        Processing servers in topological order guarantees every chain
+        reaching a server is buffered before that server runs, and
+        replaying each buffer in merged order reproduces the object
+        lane's depth-first arrival order exactly (chains are
+        independent, each visits a server at most once).  Each whole
+        buffer then goes through one call of the server's block entry
+        and one record call, instead of one recursive
+        :meth:`_handle_span` per hop.  ``lost`` (brownout epochs only)
+        holds ``(edge name, losses)`` per edge; a dropped user chain
+        still ends with its hop count, and ``(position, t, nbytes)``
+        joins its edge's losses.
         """
         topology = self.topology
         hops_map = result.redirect_hops
         origin_name = topology.origin_name
         max_redirects = self.max_redirects
         serve = Decision.SERVE
-        buffers: Dict[str, list] = {}
         pend_to = buffers.setdefault
-        # Seed per edge (lane fields hoisted out of the per-entry path);
-        # append order within a buffer is irrelevant because each buffer
-        # is sorted by seq before its server runs.
-        by_edge: List[list] = [[] for _ in lanes]
-        for seq, item in enumerate(pending):
-            by_edge[item[3]].append((seq, item[1]))
-        for e, picks in enumerate(by_edge):
-            if not picks:
-                continue
-            (
-                _name, server, _entry, _collector, _shard,
-                ts_col, videos, b0s, b1s, c0s, c1s, num_bytes,
-            ) = lanes[e]
-            responses = edge_responses[e]
-            fill_from = server.fill_from
-            k = server.cache.chunk_bytes
-            target = server.redirect_to
-            if target is None or 1 >= max_redirects:
-                target = origin_name
-            serve_count = 0
-            for seq, j in picks:
-                response = responses[j]
-                if response.decision is serve:
-                    serve_count += 1
-                    filled = response.filled_chunks
-                    if filled and fill_from is not None:
-                        c0 = c0s[j]
-                        last = min(c0 + filled, c1s[j] + 1)
-                        fb1 = last * k - 1
-                        fb0 = c0 * k
-                        pend_to(fill_from, []).append(
-                            (seq, ts_col[j], videos[j], fb0, fb1,
-                             fb1 - fb0 + 1, 0, False)
-                        )
-                else:
-                    pend_to(target, []).append(
-                        (seq, ts_col[j], videos[j], b0s[j], b1s[j],
-                         num_bytes[j], 1, True)
-                    )
-            if serve_count:
-                hops_map[0] = hops_map.get(0, 0) + serve_count
         for name in order:
             entries = buffers.pop(name, None)
             if not entries:
@@ -518,8 +523,24 @@ class CdnSimulator:
             server = topology[name]
             if server.is_origin:
                 user_count = user_bytes = fill_count = fill_bytes = 0
-                for _seq, _t, _video, _b0, _b1, nbytes, hop, user in entries:
-                    if user:
+                for t, j, e, _v, _b0, _b1, nbytes, hop, user, _f in entries:
+                    if lost is not None and rt.origin_drops(t):
+                        # Brownout shed, in the object lane's arrival
+                        # order (each chain reaches the origin once), so
+                        # the drop stream is consumed exactly as there.
+                        if user:
+                            result.requests_lost += 1
+                            result.lost_bytes += nbytes
+                            hops_map[hop] = hops_map.get(hop, 0) + 1
+                            edge, losses = lost[e]
+                            stats = rt.availability[edge]
+                            stats.lost_requests += 1
+                            stats.lost_bytes += nbytes
+                            losses.append((j, t, nbytes))
+                        else:
+                            result.fill_requests_lost += 1
+                            result.fill_bytes_lost += nbytes
+                    elif user:
                         user_count += 1
                         user_bytes += nbytes
                         hops_map[hop] = hops_map.get(hop, 0) + 1
@@ -532,20 +553,46 @@ class CdnSimulator:
                 result.origin_fill_requests += fill_count
                 result.origin_fill_bytes += fill_bytes
                 continue
+            if rt is not None and rt.is_down(name, t_epoch):
+                # Failover: user chains take the secondary map, fills the
+                # next fill hop; the origin backstops both.
+                stats = rt.availability[name]
+                stats.failover_hops += len(entries)
+                fill_target = server.fill_from
+                if fill_target is None:
+                    fill_target = origin_name
+                for t, j, e, video, b0, b1, nbytes, hop, user, _f in entries:
+                    if user:
+                        stats.down_requests += 1
+                        hop += 1
+                        target = server.redirect_to
+                        if target is None or hop >= max_redirects:
+                            target = origin_name
+                    else:
+                        stats.down_fills += 1
+                        target = fill_target
+                    pend_to(target, []).append(
+                        (t, j, e, video, b0, b1, nbytes, hop, user, True)
+                    )
+                continue
             cache = server.cache
             k = cache.chunk_bytes
-            seqs, ts, videos, b0s, b1s, nbs, hops, users = (
+            ts, js, es, videos, b0s, b1s, nbs, hops, users, failovers = (
                 list(col) for col in zip(*entries)
             )
             view = request_block(k, ts, videos, b0s, b1s)
+            occupancy = len(cache)
             responses, misses = _block_entry(cache, kernels_on)(view)
-            collector = result.per_server[name]
-            if view.vectorized:
-                collector.record_packed_block(
-                    view.ts, view.num_bytes, view.num_chunks, responses, misses
-                )
-            else:
-                collector.record_packed(ts, nbs, view.num_chunks_l, responses)
+            _record_block(result.per_server[name], view, responses, misses)
+            if rt is not None:
+                if any(failovers):
+                    # Serving on behalf of a down server, pure hits too.
+                    stats = rt.availability[name]
+                    for i, failover in enumerate(failovers):
+                        if failover and responses[i].decision is serve:
+                            stats.backup_requests += 1
+                            stats.backup_bytes += nbs[i]
+                _note_fills(rt, name, k, occupancy, ts, responses, misses)
             c0s = view.c0s_l
             c1s = view.c1s_l
             if any(users):
@@ -570,8 +617,8 @@ class CdnSimulator:
                         fb1 = last * k - 1
                         fb0 = c0 * k
                         pend_to(fill_from, []).append(
-                            (seqs[i], ts[i], videos[i], fb0, fb1,
-                             fb1 - fb0 + 1, 0, False)
+                            (ts[i], js[i], es[i], videos[i], fb0, fb1,
+                             fb1 - fb0 + 1, 0, False, False)
                         )
                 else:
                     hop = hops[i] + 1
@@ -579,8 +626,8 @@ class CdnSimulator:
                     if target is None or hop >= max_redirects:
                         target = origin_name
                     pend_to(target, []).append(
-                        (seqs[i], ts[i], videos[i], b0s[i], b1s[i],
-                         nbs[i], hop, users[i])
+                        (ts[i], js[i], es[i], videos[i], b0s[i], b1s[i],
+                         nbs[i], hop, users[i], failovers[i])
                     )
         if buffers:
             leftover = sorted(buffers)
@@ -589,96 +636,30 @@ class CdnSimulator:
                 f"plan: {leftover}"
             )
 
-    def _replay_fleet_stepwise(
-        self, lanes, runs, result, rt, events, ticker
-    ) -> None:
-        """Per-request packed replay: exact merged order, full fault path."""
-        handle = self._handle_span
-        hops_map = result.redirect_hops
-        faulted = rt is not None
-        count = 0
-        for e, start, stop in zip(*runs):
-            (
-                name, _server, _entry, _collector, _shard,
-                ts, videos, b0s, b1s, _c0s, _c1s, num_bytes,
-            ) = lanes[e]
-            edge = name if faulted else None
-            for i in range(start, stop):
-                t = ts[i]
-                if faulted:
-                    for wiped in rt.advance_to(t):
-                        events.append(EngineEvent(t, "cache-wipe", wiped))
-                count += 1
-                result.num_user_requests += 1
-                nbytes = num_bytes[i]
-                result.user_requested_bytes += nbytes
-                hops = handle(
-                    name, t, videos[i], b0s[i], b1s[i], nbytes,
-                    result, 0, edge=edge,
-                )
-                hops_map[hops] = hops_map.get(hops, 0) + 1
-                ticker.tick(count)
-
-    def _hops_avoid_traced_edges(self, names) -> bool:
-        """True when no hop chain from a traced edge reaches a traced edge.
-
-        The shard-batched packed lane replays each traced edge's shard as
-        one block, which is only byte-identical if those caches never see
-        traffic beyond their own shard — i.e. no redirect/fill chain
-        (including the origin hop-limit backstop) can deliver a request
-        to a traced edge.  Hierarchies qualify (hops only climb toward
-        the origin); peered redirect rings do not and take the stepwise
-        lane.  O(servers): each node has at most two outgoing hops.
-        """
-        topology = self.topology
-        traced = set(names)
-        stack: List[str] = []
-        for name in traced:
-            server = topology[name]
-            if server.redirect_to is not None:
-                stack.append(server.redirect_to)
-            if server.fill_from is not None:
-                stack.append(server.fill_from)
-        seen: set = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node in traced:
-                return False
-            server = topology[node]
-            if server.redirect_to is not None and server.redirect_to not in seen:
-                stack.append(server.redirect_to)
-            if server.fill_from is not None and server.fill_from not in seen:
-                stack.append(server.fill_from)
-        return True
-
-    def _hop_topo_order(self, names) -> Optional[List[str]]:
+    def _hop_order(self, names) -> Tuple[Optional[List[str]], str]:
         """Topological order of the hop subgraph reachable from ``names``.
 
         Iterative DFS over redirect/fill successors, postorder reversed,
         so every server appears before the targets its responses can
         propagate to — the schedule for the level-batched hop walk.  The
         origin is seeded explicitly because the hop-limit backstop can
-        deliver a chain there even when no server links to it.  Returns
-        None when the reachable subgraph has a cycle (untraced redirect
-        rings), in which case chains must run depth-first instead.
+        deliver a chain there even when no server links to it.
+
+        Returns ``(order, "")``, or ``(None, reason)`` when the
+        shard-batched lane cannot run: a hop chain can reach a traced
+        edge, whose cache would then see more than its own shard
+        (peered rings), or the reachable subgraph has a cycle.
         """
         topology = self.topology
+        traced = set(names)
         roots = {topology.origin_name}
         for name in names:
-            server = topology[name]
-            if server.redirect_to is not None:
-                roots.add(server.redirect_to)
-            if server.fill_from is not None:
-                roots.add(server.fill_from)
+            roots.update((topology[name].redirect_to, topology[name].fill_from))
+        roots.discard(None)
         order: List[str] = []
         done: set = set()
         on_path: set = set()
         for root in sorted(roots):
-            if root in done:
-                continue
             # Each stack frame is (node, entered): the first visit marks
             # the node on the current DFS path, the second finalizes it.
             stack = [(root, False)]
@@ -691,44 +672,18 @@ class CdnSimulator:
                     continue
                 if node in done:
                     continue
+                if node in traced:
+                    return None, "hop chains can reach a traced edge"
                 if node in on_path:
-                    return None
+                    return None, "the hop graph has a cycle"
                 on_path.add(node)
                 stack.append((node, True))
                 server = topology[node]
                 for succ in (server.redirect_to, server.fill_from):
-                    if succ is None or succ in done:
-                        continue
-                    if succ in on_path:
-                        return None
-                    stack.append((succ, False))
+                    if succ is not None and succ not in done:
+                        stack.append((succ, False))
         order.reverse()
-        return order
-
-    def _handle(
-        self,
-        server_name: str,
-        request: Request,
-        result: CdnSimulationResult,
-        hop: int,
-        user: bool = True,
-        edge: Optional[str] = None,
-        failover: bool = False,
-    ) -> int:
-        """Object-lane compatibility wrapper over :meth:`_handle_span`."""
-        return self._handle_span(
-            server_name,
-            request.t,
-            request.video,
-            request.b0,
-            request.b1,
-            request.b1 - request.b0 + 1,
-            result,
-            hop,
-            user=user,
-            edge=edge,
-            failover=failover,
-        )
+        return order, ""
 
     def _handle_span(
         self,
@@ -746,8 +701,8 @@ class CdnSimulator:
     ) -> int:
         """Process one request span at ``server_name``; returns hops.
 
-        The scalar hot path shared by every lane — no ``Request``
-        objects anywhere on the serve/redirect/fill recursion.
+        The object lane's per-hop recursion — no ``Request`` objects
+        anywhere on the serve/redirect/fill path.
 
         ``user`` distinguishes the user path from the fill path: a
         cache-fill request that climbs to the origin (directly, or after
@@ -841,7 +796,8 @@ class CdnSimulator:
                 target = server.fill_from
                 if target is not None:
                     # Chunk-aligned upstream fill, clamped to the
-                    # request's own chunk range (see _fill_requests).
+                    # request's own chunk range: a cache can only fill
+                    # chunks the request touched.
                     last = min(c0 + filled, c1 + 1)
                     fb1 = last * k - 1
                     fb0 = c0 * k
@@ -861,27 +817,50 @@ class CdnSimulator:
         )
 
 
-def _fill_requests(request: Request, cache, filled_chunks: int) -> List[Request]:
-    """Chunk-aligned upstream requests approximating this fill.
+def _note_fills(rt, name, chunk_bytes, occupancy, ts, responses, misses):
+    """Fold one block's fills into ``rt``'s degrade and re-warm accounting.
 
-    The cache does not report *which* chunks it filled, only how many;
-    the missing ones were, by construction, within the request's chunk
-    range.  One aligned request covering ``filled_chunks`` chunks from
-    the range start is the right volume and locality for upstream
-    accounting (upstream caches operate at chunk granularity anyway).
+    Fills are noted in block order, as the object lane notes them per
+    request.  ``occupancy`` is the cache's size before the block; its
+    size after each request is that plus the running sum of ``filled -
+    evicted``, which the eviction-accounting invariant
+    (:class:`~repro.verify.audit.AuditedCache`) makes exact.
     """
-    if filled_chunks <= 0:
-        return []
-    k = cache.chunk_bytes
-    c0, c1 = request.chunks(k)
-    # Clamp to the request's own chunk range: a cache can only have
-    # filled chunks the request touched, so a larger report (e.g. from a
-    # buggy or wrapped implementation) must not make the upstream fill
-    # wider than the request itself.
-    last = min(c0 + filled_chunks, c1 + 1)
-    b0 = c0 * k
-    b1 = last * k - 1
-    return [Request(t=request.t, video=request.video, b0=b0, b1=b1)]
+    for i in misses:
+        response = responses[i]
+        filled = response.filled_chunks
+        occupancy += filled - response.evicted_chunks
+        if filled:
+            rt.note_fill(name, ts[i], filled * chunk_bytes, occupancy)
+
+
+def _record_block(collector, view, responses, misses, lost=()) -> None:
+    """Fold one block's responses into ``collector``.
+
+    ``lost`` lists ``(index, t, nbytes)`` of the block's requests that
+    the origin dropped, ascending.  ``record_lost`` refuses a timestamp
+    before the live bucket, so such a block is recorded in pieces, each
+    ending at a lost request and followed by its loss: the object
+    lane's order.
+    """
+    if view.vectorized:
+        cols = (view.ts, view.num_bytes, view.num_chunks)
+    else:
+        cols = (view.ts_l, view.num_bytes_l, view.num_chunks_l)
+    if not lost:
+        collector.record_packed_block(*cols, responses, misses)
+        return
+    lo = first = 0
+    for i, t, nbytes in [*lost, (view.n - 1, None, 0)]:
+        stop = bisect_left(misses, i + 1, first)
+        collector.record_packed_block(
+            *(col[lo : i + 1] for col in cols),
+            responses[lo : i + 1],
+            [m - lo for m in misses[first:stop]],
+        )
+        if t is not None:
+            collector.record_lost(t, nbytes)
+        lo, first = i + 1, stop
 
 
 def _merge_by_time(

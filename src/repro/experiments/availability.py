@@ -33,21 +33,15 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cdn.faults import FaultEvent, FaultSchedule
 from repro.cdn.multiserver import CdnSimulator
-from repro.cdn.topology import ORIGIN, hierarchy
+from repro.cdn.topology import ORIGIN
 from repro.experiments.cdnwide import (
-    EDGE_ALPHA,
     EDGE_SERVERS,
-    PARENT_ALPHA,
-    PARENT_DISK_FACTOR,
+    _disks,
     _edge_traces,
     _fleet,
+    _hierarchy_topology,
 )
-from repro.experiments.common import (
-    DISK_SCALED_1TB,
-    ExperimentResult,
-    ExperimentScale,
-)
-from repro.sim.runner import build_cache
+from repro.experiments.common import ExperimentResult, ExperimentScale
 from repro.sim.schedule import resolve_workers
 
 __all__ = ["run", "fault_schedule", "OUTAGE_SERVER", "RESTART_SERVER"]
@@ -92,18 +86,6 @@ def fault_schedule(span: float) -> FaultSchedule:
     )
 
 
-def _build_topology(
-    algo: str, edge_disks: Dict[str, int], parent_disk: int,
-    parent_algorithm: str,
-):
-    edges = {
-        name: build_cache(algo, edge_disks[name], alpha_f2r=EDGE_ALPHA)
-        for name in EDGE_SERVERS
-    }
-    parent = build_cache(parent_algorithm, parent_disk, alpha_f2r=PARENT_ALPHA)
-    return hierarchy(edges, parent)
-
-
 def _fault_row(algo, clean, faulted, outage_t0, outage_t1) -> dict:
     def edge_eff(result) -> float:
         summaries = [result.summary(name) for name in EDGE_SERVERS]
@@ -136,22 +118,27 @@ def _fault_row(algo, clean, faulted, outage_t0, outage_t1) -> dict:
     }
 
 
+def _fault_arm(
+    algo, fleet, edge_disks, parent_disk, parent_algorithm, schedule,
+    outage_t0, outage_t1,
+) -> dict:
+    """Replay one edge algorithm fault-free and under ``schedule``."""
+
+    def replay(faults):
+        topology = _hierarchy_topology(
+            algo, edge_disks, parent_disk, parent_algorithm
+        )
+        return CdnSimulator(topology, faults=faults).run(fleet)
+
+    return _fault_row(algo, replay(None), replay(schedule), outage_t0, outage_t1)
+
+
 def _run_fault_arm(payload) -> dict:
     """Worker entry: attach the shared fleet, replay both arms of one algo."""
-    (
-        algo, handle, edge_disks, parent_disk, parent_algorithm,
-        schedule, outage_t0, outage_t1,
-    ) = payload
+    algo, handle, *arm = payload
     fleet = handle.attach()
     try:
-        clean = CdnSimulator(
-            _build_topology(algo, edge_disks, parent_disk, parent_algorithm)
-        ).run(fleet)
-        faulted = CdnSimulator(
-            _build_topology(algo, edge_disks, parent_disk, parent_algorithm),
-            faults=schedule,
-        ).run(fleet)
-        return _fault_row(algo, clean, faulted, outage_t0, outage_t1)
+        return _fault_arm(algo, fleet, *arm)
     finally:
         fleet.close()
 
@@ -168,49 +155,30 @@ def run(
     over a process pool against one shared-memory fleet export.
     """
     traces = _edge_traces(scale)
-    edge_disks = {
-        name: max(16, int(shard.unique_chunk_count() * DISK_SCALED_1TB))
-        for name, shard in traces.items()
-    }
-    parent_disk = PARENT_DISK_FACTOR * max(edge_disks.values())
+    edge_disks, parent_disk = _disks(traces)
     span = max(
         float(shard.column("t")[-1]) for shard in traces.values() if len(shard)
     )
     schedule = fault_schedule(span)
     outage_t0, outage_t1 = (f * span for f in OUTAGE_WINDOW)
     fleet = _fleet(scale)
+    arm = (
+        edge_disks, parent_disk, parent_algorithm, schedule,
+        outage_t0, outage_t1,
+    )
 
     rows: List[dict]
     n_workers = min(resolve_workers(workers), len(edge_algorithms))
     if n_workers > 1:
         handle = fleet.to_shared()
-        payloads = [
-            (
-                algo, handle, edge_disks, parent_disk, parent_algorithm,
-                schedule, outage_t0, outage_t1,
-            )
-            for algo in edge_algorithms
-        ]
+        payloads = [(algo, handle, *arm) for algo in edge_algorithms]
         try:
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
                 rows = list(pool.map(_run_fault_arm, payloads))
         finally:
             handle.unlink()
     else:
-        rows = []
-        for algo in edge_algorithms:
-            clean = CdnSimulator(
-                _build_topology(algo, edge_disks, parent_disk, parent_algorithm)
-            ).run(fleet)
-            faulted = CdnSimulator(
-                _build_topology(
-                    algo, edge_disks, parent_disk, parent_algorithm
-                ),
-                faults=schedule,
-            ).run(fleet)
-            rows.append(
-                _fault_row(algo, clean, faulted, outage_t0, outage_t1)
-            )
+        rows = [_fault_arm(algo, fleet, *arm) for algo in edge_algorithms]
     return ExperimentResult(
         name="Availability",
         description=(

@@ -24,7 +24,7 @@ and pull-through LRU edges are the worst of all worlds.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cdn.multiserver import CdnSimulator
 from repro.cdn.topology import hierarchy
@@ -87,13 +87,21 @@ def _edge_traces(scale: ExperimentScale) -> Dict[str, PackedTrace]:
 def _fleet(scale: ExperimentScale) -> FleetTrace:
     """Memoized :class:`FleetTrace` over the packed shards.
 
-    The global time-merge plan is computed once per scale and shared by
-    every algorithm arm (and by :mod:`repro.experiments.availability`),
-    instead of re-merging per replay like the object lane did.
+    Validated once per scale and shared by every algorithm arm (and by
+    :mod:`repro.experiments.availability`), faulted arms included.
     """
     if scale.name not in _FLEETS:
         _FLEETS[scale.name] = FleetTrace(_edge_traces(scale))
     return _FLEETS[scale.name]
+
+
+def _disks(traces: Dict[str, PackedTrace]) -> Tuple[Dict[str, int], int]:
+    """Edge disks (``DISK_SCALED_1TB`` of each footprint) and the parent's."""
+    edge_disks = {
+        name: max(16, int(shard.unique_chunk_count() * DISK_SCALED_1TB))
+        for name, shard in traces.items()
+    }
+    return edge_disks, PARENT_DISK_FACTOR * max(edge_disks.values())
 
 
 def _hierarchy_topology(
@@ -124,15 +132,22 @@ def _arm_row(algo: str, result, user_bytes: int) -> dict:
     }
 
 
+def _cdn_arm(
+    algo, fleet, edge_disks, parent_disk, parent_algorithm, user_bytes
+) -> dict:
+    """Replay the hierarchy with one edge algorithm."""
+    topology = _hierarchy_topology(
+        algo, edge_disks, parent_disk, parent_algorithm
+    )
+    return _arm_row(algo, CdnSimulator(topology).run(fleet), user_bytes)
+
+
 def _run_arm(payload) -> dict:
     """Worker entry: attach the shared fleet, replay one edge algorithm."""
-    algo, handle, edge_disks, parent_disk, parent_algorithm, user_bytes = payload
+    algo, handle, *arm = payload
     fleet = handle.attach()
     try:
-        topology = _hierarchy_topology(
-            algo, edge_disks, parent_disk, parent_algorithm
-        )
-        return _arm_row(algo, CdnSimulator(topology).run(fleet), user_bytes)
+        return _cdn_arm(algo, fleet, *arm)
     finally:
         fleet.close()
 
@@ -151,41 +166,24 @@ def run(
     the serial path — arms are independent replays.
     """
     traces = _edge_traces(scale)
-    edge_disks = {
-        name: max(16, int(shard.unique_chunk_count() * DISK_SCALED_1TB))
-        for name, shard in traces.items()
-    }
-    parent_disk = PARENT_DISK_FACTOR * max(edge_disks.values())
+    edge_disks, parent_disk = _disks(traces)
     user_bytes = sum(
         shard.total_requested_bytes() for shard in traces.values()
     )
     fleet = _fleet(scale)
+    arm = (edge_disks, parent_disk, parent_algorithm, user_bytes)
 
     n_workers = min(resolve_workers(workers), len(edge_algorithms))
     if n_workers > 1:
         handle = fleet.to_shared()
-        payloads = [
-            (algo, handle, edge_disks, parent_disk, parent_algorithm, user_bytes)
-            for algo in edge_algorithms
-        ]
+        payloads = [(algo, handle, *arm) for algo in edge_algorithms]
         try:
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
                 rows = list(pool.map(_run_arm, payloads))
         finally:
             handle.unlink()
     else:
-        rows = [
-            _arm_row(
-                algo,
-                CdnSimulator(
-                    _hierarchy_topology(
-                        algo, edge_disks, parent_disk, parent_algorithm
-                    )
-                ).run(fleet),
-                user_bytes,
-            )
-            for algo in edge_algorithms
-        ]
+        rows = [_cdn_arm(algo, fleet, *arm) for algo in edge_algorithms]
     return ExperimentResult(
         name="CDN-wide",
         description=(

@@ -3,29 +3,27 @@
 The CDN-wide experiments replay one trace *per edge server*, merged
 into a single time-ordered stream.  The object lane does this with
 ``heapq.merge`` — one tuple allocation and one heap sift per request.
-:class:`FleetTrace` precomputes the merged order **once**, vectorized,
-and stores it as run-length segments: a maximal run of consecutive
+The packed CDN lane never merges: it hands each edge's shard (per
+fault epoch) to the edge cache's block entry and sorts only the
+hop-generating requests, by the object lane's ``(t,
+index-within-trace, edge-name)`` keys.
+
+:meth:`FleetTrace.merge_runs` computes the whole merged order once,
+vectorized, as run-length segments: a maximal run of consecutive
 same-edge entries in the merged stream always covers *consecutive*
 positions of that edge's shard (within one shard the merge keys are
-strictly increasing), so the whole permutation compresses to
-``(edge, start, stop)`` triples.  The packed CDN lane replays run by
-run, batching each run through the edge cache's ``handle_span`` hot
-path.
-
-The tie order is exactly ``heapq.merge``'s over the object lane's
-``(t, index-within-trace, edge-name)`` keys, so a packed fleet replay
-visits requests in the byte-identical order.
+strictly increasing), so the permutation compresses to ``(edge,
+start, stop)`` triples.  No replay lane uses it; it backs
+:meth:`FleetTrace.merged` and set-up measurements.
 
 :meth:`FleetTrace.to_shared` exports every shard via
 :meth:`PackedTrace.to_shared` and returns a tiny picklable
 :class:`SharedFleetHandle`; sweep workers :meth:`attach
-<SharedFleetHandle.attach>` zero-copy and recompute the (cheap,
-vectorized) merge plan locally instead of shipping it.
+<SharedFleetHandle.attach>` zero-copy.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.trace.columnar import _np, PackedTrace, SharedTraceHandle, _make_column
@@ -83,6 +81,8 @@ class FleetTrace:
         :attr:`names`, shard start position, shard stop position).
         Computed lazily and cached; the order replicates
         ``heapq.merge`` over ``(t, position, name)`` keys exactly.
+        No replay lane walks this plan any more (see the module
+        docstring).
         """
         if self._runs is None:
             self._runs = self._compute_runs()
@@ -114,43 +114,31 @@ class FleetTrace:
             order = _np.lexsort((rank, pos, ts))
             eseq = eid[order]
             pseq = pos[order]
+            # Each run covers consecutive positions of one shard.
             change = _np.flatnonzero(eseq[1:] != eseq[:-1]) + 1
-            starts = _np.concatenate(
-                (_np.zeros(1, dtype=change.dtype), change)
+            starts = _np.concatenate(([0], change))
+            ends = _np.concatenate((change, [total]))
+            return (
+                eseq[starts].tolist(),
+                pseq[starts].tolist(),
+                (pseq[ends - 1] + 1).tolist(),
             )
-            ends = _np.concatenate(
-                (change, _np.asarray([total], dtype=change.dtype))
-            )
-            run_edge = eseq[starts].tolist()
-            run_start = pseq[starts].tolist()
-            run_stop = [
-                s + length
-                for s, length in zip(run_start, (ends - starts).tolist())
-            ]
-            return (run_edge, run_start, run_stop)
 
-        def stream(e: int, name: str, shard: PackedTrace):
-            r = name_rank[name]
-            tcol = shard.column("t")
-            for i in range(len(shard)):
-                yield (tcol[i], i, r, e)
-
-        streams = [
-            stream(e, name, self.shards[name])
+        keys = sorted(
+            (t, i, name_rank[name], e)
             for e, name in enumerate(self.names)
-        ]
+            for i, t in enumerate(self.shards[name].column("t"))
+        )
         run_edge: List[int] = []
         run_start: List[int] = []
         run_stop: List[int] = []
-        last_e = -1
-        for _t, i, _r, e in heapq.merge(*streams):
-            if e != last_e:
+        for _t, i, _r, e in keys:
+            if run_edge and run_edge[-1] == e:
+                run_stop[-1] = i + 1
+            else:
                 run_edge.append(e)
                 run_start.append(i)
                 run_stop.append(i + 1)
-                last_e = e
-            else:
-                run_stop[-1] = i + 1
         return (run_edge, run_start, run_stop)
 
     def merged(self) -> Iterator[Tuple[str, Request]]:
@@ -175,8 +163,7 @@ class FleetTrace:
         :meth:`SharedFleetHandle.unlink` them.  Empty shards (which
         ``SharedMemory`` cannot hold) are carried as metadata and
         reconstructed empty on attach.  The merge plan is *not*
-        shipped: recomputing it on attach is vectorized and cheap
-        relative to copying the permutation through ``/dev/shm``.
+        shipped; an attached fleet computes it on demand.
         """
         edges: List[Tuple[str, Optional[SharedTraceHandle], int, int]] = []
         try:

@@ -16,7 +16,12 @@ topologies with every cache wrapped in an
 * **determinism** — replaying the same schedule twice on fresh
   topologies produces byte-identical results;
 * **loss conservation** — CDN-wide lost counters equal the sum of the
-  per-edge attributions, and availability stays in ``[0, 1]``.
+  per-edge attributions, and availability stays in ``[0, 1]``;
+* **lane identity** — the same traces replayed as a packed
+  :class:`~repro.trace.fleet.FleetTrace` (the epoch-cut shard-batched
+  lane) match the object lane, faulted and fault-free, in fingerprint,
+  every server's bucket series, the availability accounting and the
+  cache-wipe events.
 
 ``repro-verify --fault-seeds N`` is the CLI surface.
 """
@@ -31,6 +36,8 @@ from repro.cdn.faults import FaultSchedule
 from repro.cdn.multiserver import CdnSimulationResult, CdnSimulator
 from repro.cdn.topology import ORIGIN, CdnServer, CdnTopology, hierarchy
 from repro.sim.runner import build_cache
+from repro.trace.columnar import pack_trace
+from repro.trace.fleet import FleetTrace
 from repro.trace.requests import Request
 from repro.verify.audit import AuditedCache, Violation
 from repro.verify.fuzz import adversarial_trace
@@ -189,36 +196,69 @@ def _fingerprint(result: CdnSimulationResult) -> tuple:
     )
 
 
+def _replay_differences(
+    a: CdnSimulationResult, b: CdnSimulationResult
+) -> List[str]:
+    """The aspects in which two replays of one workload differ."""
+
+    def aspects(result: CdnSimulationResult) -> dict:
+        events = result.report.events if result.report is not None else []
+        return {
+            "fingerprint": _fingerprint(result),
+            "bucket series": {
+                name: c.series() for name, c in result.per_server.items()
+            },
+            "availability": {
+                name: s.to_dict() for name, s in result.availability.items()
+            },
+            "cache-wipe events": [
+                (e.t, e.detail) for e in events if e.kind == "cache-wipe"
+            ],
+        }
+
+    left, right = aspects(a), aspects(b)
+    return [name for name in left if left[name] != right[name]]
+
+
 def run_fault_scenario(scenario: FaultScenario) -> FaultCheckResult:
     """Run one scenario through every check; see the module docstring."""
     outcome = FaultCheckResult(scenario)
     traces = _edge_traces(scenario)
     schedule = _schedule(scenario, traces)
+    fleet = FleetTrace(
+        {
+            name: pack_trace(trace, chunk_bytes=scenario.chunk_bytes)
+            for name, trace in traces.items()
+        }
+    )
+
+    def replay(faults, audit=True, packed=False):
+        """One replay on a fresh topology, keeping audit violations."""
+        topology, audits = _build_topology(scenario, audit=audit)
+        result = CdnSimulator(topology, faults=faults).run(
+            fleet if packed else traces
+        )
+        for _name, audited in sorted(audits.items()):
+            outcome.violations.extend(audited.violations)
+        return result
 
     # 1. Zero-cost disablement: faults=None vs empty schedule.
-    topo_none, _ = _build_topology(scenario, audit=False)
-    baseline = CdnSimulator(topo_none).run(traces)
-    topo_empty, _ = _build_topology(scenario, audit=False)
-    empty = CdnSimulator(topo_empty, faults=FaultSchedule([])).run(traces)
+    baseline = replay(None, audit=False)
+    empty = replay(FaultSchedule([]), audit=False)
     if _fingerprint(baseline) != _fingerprint(empty):
         outcome.issues.append(
             "empty FaultSchedule changed the replay (zero-cost contract broken)"
         )
 
     # 2. Faulted replay with audited caches: invariants must hold.
-    topo_fault, audits = _build_topology(scenario, audit=True)
-    faulted = CdnSimulator(topo_fault, faults=schedule).run(traces)
-    for name, audited in sorted(audits.items()):
-        outcome.violations.extend(audited.violations)
+    faulted = replay(schedule)
     outcome.requests_lost = faulted.requests_lost
     outcome.restarts = sum(
         stats.restarts for stats in faulted.availability.values()
     )
 
     # 3. Determinism: same schedule on a fresh topology, same bytes.
-    topo_again, _ = _build_topology(scenario, audit=True)
-    again = CdnSimulator(topo_again, faults=schedule).run(traces)
-    if _fingerprint(faulted) != _fingerprint(again):
+    if _fingerprint(faulted) != _fingerprint(replay(schedule, audit=False)):
         outcome.issues.append(
             "faulted replay is not deterministic across identical runs"
         )
@@ -242,6 +282,19 @@ def run_fault_scenario(scenario: FaultScenario) -> FaultCheckResult:
             f"user-request conservation broken: replayed {served_plus_lost} "
             f"of {expected} trace requests"
         )
+
+    # 5. Lane identity: the packed fleet lane, with and without faults.
+    for label, faults, reference in (
+        ("faulted", schedule, faulted),
+        ("fault-free", None, baseline),
+    ):
+        packed = replay(faults, packed=True)
+        differences = _replay_differences(reference, packed)
+        if differences:
+            outcome.issues.append(
+                f"{label} packed lane differs from the object lane in: "
+                + ", ".join(differences)
+            )
     return outcome
 
 

@@ -19,11 +19,11 @@ import pytest
 
 from repro.cdn.faults import FaultEvent, FaultSchedule
 from repro.cdn.multiserver import CdnSimulator
-from repro.cdn.topology import hierarchy, peered_edges
+from repro.cdn.topology import ORIGIN, CdnServer, CdnTopology, hierarchy, peered_edges
 from repro.sim.engine import NO_KERNELS_ENV
 from repro.sim.runner import build_cache
 from repro.trace.fleet import FleetTrace
-from repro.verify.faultcheck import _fingerprint
+from repro.verify.faultcheck import _fingerprint, _replay_differences
 from repro.workload.generator import TraceGenerator
 from repro.workload.servers import paper_server_profiles
 
@@ -59,11 +59,23 @@ def fault_schedule() -> FaultSchedule:
             FaultEvent("outage", "africa", SPAN * 0.15, SPAN * 0.1),
             FaultEvent("restart", "europe", SPAN * 0.4, SPAN * 0.05),
             FaultEvent("degrade", "parent", SPAN * 0.55, SPAN * 0.1, factor=2.5),
+            FaultEvent("outage", "parent", SPAN * 0.62, SPAN * 0.05),
             FaultEvent(
                 "brownout", "origin", SPAN * 0.7, SPAN * 0.1, drop_fraction=0.3
             ),
         ],
         seed=9,
+    )
+
+
+def fault_schedule_mid() -> FaultSchedule:
+    """Faults for the mid-tier ring: one mid server restarts cold."""
+    return FaultSchedule(
+        [
+            FaultEvent("restart", "mid0", SPAN * 0.3, SPAN * 0.1),
+            FaultEvent("outage", "europe", SPAN * 0.5, SPAN * 0.1),
+        ],
+        seed=3,
     )
 
 
@@ -77,16 +89,21 @@ class TestFleetEquivalenceMatrix:
         # The fault-free hierarchy qualifies for the shard-batched lane.
         assert packed.report.extra["trace_format"] == "packed-batched"
 
-    @pytest.mark.parametrize("algo", ["Cafe", "xLRU"])
+    @pytest.mark.parametrize("algo", ["Cafe", "PullLRU", "xLRU", "LFU"])
     def test_faulted_all_regions(self, region_traces, algo):
         traces, shards = region_traces
         obj = make_sim(algo, faults=fault_schedule()).run(traces)
         packed = make_sim(algo, faults=fault_schedule()).run(
             FleetTrace(shards)
         )
-        assert _fingerprint(obj) == _fingerprint(packed)
-        # Faults require the stepwise merged walk, not the batched lane.
-        assert packed.report.extra["trace_format"] == "packed"
+        # Fingerprint, every bucket of every server, the availability
+        # accounting and the cache-wipe events all match.
+        assert _replay_differences(obj, packed) == []
+        # Faults cut the batched lane into epochs instead of leaving it.
+        assert packed.report.extra["trace_format"] == "packed-batched"
+        assert packed.report.extra["epochs"] > len(fault_schedule())
+        assert obj.report.extra["trace_format"] == "object"
+        assert "epochs" not in obj.report.extra
 
     @pytest.mark.parametrize("edge_algo,parent_algo", [("xLRU", "Cafe"), ("Cafe", "xLRU")])
     def test_batched_lane_same_with_kernels_off(
@@ -116,15 +133,62 @@ class TestFleetEquivalenceMatrix:
         from_fleet = make_sim("Cafe").run(FleetTrace(shards))
         assert _fingerprint(from_mapping) == _fingerprint(from_fleet)
 
-    def test_peered_ring_falls_back_to_stepwise(self, region_traces):
+    def test_peered_ring_falls_back_to_object_lane(self, region_traces):
         """Redirect rings among traced edges can deliver one edge's
         traffic to another, so the shard-batched lane must refuse them
-        — and still match the object lane byte for byte."""
+        — replay on the object lane, and say why."""
         traces, shards = region_traces
         obj = make_sim("xLRU", peered=True).run(traces)
         packed = make_sim("xLRU", peered=True).run(FleetTrace(shards))
         assert _fingerprint(obj) == _fingerprint(packed)
-        assert packed.report.extra["trace_format"] == "packed"
+        assert packed.report.extra["trace_format"] == "object"
+        (event,) = packed.report.events
+        assert event.kind == "lane-fallback"
+        assert "traced edge" in event.detail
+
+    @pytest.mark.parametrize(
+        "faulted", [False, True], ids=["fault-free", "faulted"]
+    )
+    def test_mid_tier_redirect_cycle_falls_back_to_object_lane(
+        self, region_traces, faulted
+    ):
+        """Two mid-tier servers that redirect to each other form a hop
+        cycle that no traced edge re-enters; level batching cannot order
+        it, so the packed fleet replays on the object lane."""
+        traces, shards = region_traces
+
+        def sim():
+            servers = [CdnServer(name=ORIGIN, cache=None)]
+            for mid, peer in (("mid0", "mid1"), ("mid1", "mid0")):
+                servers.append(
+                    CdnServer(
+                        name=mid, cache=build_cache("xLRU", 512),
+                        fill_from=ORIGIN, redirect_to=peer,
+                    )
+                )
+            for i, name in enumerate(REGIONS):
+                mid = f"mid{i % 2}"
+                servers.append(
+                    CdnServer(
+                        name=name, cache=build_cache("xLRU", 128),
+                        fill_from=mid, redirect_to=mid,
+                    )
+                )
+            faults = fault_schedule_mid() if faulted else None
+            return CdnSimulator(CdnTopology(servers), faults=faults)
+
+        obj = sim().run(traces)
+        packed = sim().run(FleetTrace(shards))
+        assert _replay_differences(obj, packed) == []
+        assert packed.report.extra["trace_format"] == "object"
+        fallbacks = [
+            e for e in packed.report.events if e.kind == "lane-fallback"
+        ]
+        assert len(fallbacks) == 1
+        assert "cycle" in fallbacks[0].detail
+        # The ring is really walked: both mid-tier servers see traffic.
+        assert obj.summary("mid0").num_requests
+        assert obj.summary("mid1").num_requests
 
 
 class TestFaultSemanticsPreserved:

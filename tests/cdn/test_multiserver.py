@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.cdn.multiserver import CdnSimulator, _fill_requests
+from repro.cdn.multiserver import CdnSimulator
 from repro.cdn.topology import hierarchy, peered_edges
+from repro.core.base import VideoCache, serve_response
 from repro.core.baselines import PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
 from repro.core.xlru import XlruCache
+from repro.trace.columnar import pack_trace
 from repro.trace.requests import Request
 
 K = 1024
@@ -198,31 +200,77 @@ class TestOriginAccounting:
         assert result.origin_bytes == K
 
 
+class OverReportingCache(PullThroughLruCache):
+    """Pull-through LRU that claims ten more filled chunks than it fetched."""
+
+    # Every lane reaches handle_span through the per-request reference.
+    handle_span_block_kernel = VideoCache.handle_span_block_kernel
+
+    def handle_span(self, t, video, b0, b1, c0, c1):
+        response = super().handle_span(t, video, b0, b1, c0, c1)
+        if response.filled_chunks:
+            return serve_response(
+                response.filled_chunks + 10, response.evicted_chunks
+            )
+        return response
+
+
 class TestFillRequestClamp:
-    """Regression: fill requests stay inside the user request's chunks."""
+    """Regression: an upstream fill stays inside the user request's
+    chunks, on the object lane and on the packed lane alike."""
+
+    @staticmethod
+    def replay_both_lanes(trace, cache_class=PullThroughLruCache):
+        """Replay ``trace`` at edge ``e1`` of a two-tier ``cache_class``
+        hierarchy, once per lane."""
+        results = []
+        for packed in (False, True):
+            topology = hierarchy(
+                {"e1": cache_class(16, chunk_bytes=K)},
+                cache_class(64, chunk_bytes=K),
+            )
+            edge_trace = pack_trace(trace, chunk_bytes=K) if packed else trace
+            result = CdnSimulator(topology).run({"e1": edge_trace})
+            lane = "packed-batched" if packed else "object"
+            assert result.report.extra["trace_format"] == lane
+            results.append(result)
+        return results
 
     def test_overreported_fill_clamped(self):
-        cache = PullThroughLruCache(16, chunk_bytes=K)
-        request = req(0.0, 1, 2, 4)  # chunks 2..4
-        fills = _fill_requests(request, cache, filled_chunks=10)
-        assert len(fills) == 1
-        assert fills[0].chunks(K) == (2, 4)
-        assert fills[0].b0 == 2 * K
-        assert fills[0].b1 == 5 * K - 1
+        # Both tiers over-report: the edge's fill to the parent and the
+        # parent's fill to the origin must both be clamped.
+        trace = [req(0.0, 1, 2, 4)]  # chunks 2..4
+        for result in self.replay_both_lanes(trace, OverReportingCache):
+            parent = result.summary("parent")
+            assert parent.num_requests == 1
+            assert parent.requested_chunks == 3
+            assert parent.requested_bytes == 3 * K
+            assert result.origin_fill_requests == 1
+            assert result.origin_fill_bytes == 3 * K
 
     def test_exact_fill_unchanged(self):
-        cache = PullThroughLruCache(16, chunk_bytes=K)
-        fills = _fill_requests(req(0.0, 1, 2, 4), cache, filled_chunks=3)
-        assert fills[0].chunks(K) == (2, 4)
+        for result in self.replay_both_lanes([req(0.0, 1, 2, 4)]):
+            parent = result.summary("parent")
+            assert parent.requested_chunks == 3
+            assert parent.filled_chunks == 3
+            assert result.origin_fill_bytes == 3 * K
 
     def test_partial_fill_is_a_prefix(self):
-        cache = PullThroughLruCache(16, chunk_bytes=K)
-        fills = _fill_requests(req(0.0, 1, 2, 4), cache, filled_chunks=1)
-        assert fills[0].chunks(K) == (2, 2)
+        # Chunks 3..4 are cached by the first request, so the second
+        # fills one chunk and its upstream fill is chunk 2 alone.
+        trace = [req(0.0, 1, 3, 4), req(1.0, 1, 2, 4)]
+        for result in self.replay_both_lanes(trace):
+            parent = result.summary("parent")
+            assert parent.num_requests == 2
+            assert parent.requested_chunks == 2 + 1
+            assert result.origin_fill_bytes == 3 * K
 
     def test_zero_fill_is_empty(self):
-        cache = PullThroughLruCache(16, chunk_bytes=K)
-        assert _fill_requests(req(0.0, 1, 0), cache, 0) == []
+        # The second request pure-hits at the edge: nothing goes upstream.
+        trace = [req(0.0, 1, 0), req(1.0, 1, 0)]
+        for result in self.replay_both_lanes(trace):
+            assert result.summary("e1").num_requests == 2
+            assert result.summary("parent").num_requests == 1
 
 
 class TestEdgeTraceValidation:

@@ -97,8 +97,8 @@ class TestSim:
         assert code == 0
         captured = capsys.readouterr()
         # The profile must attribute time inside the batched fleet
-        # replay, not just the single-cache engine.
-        assert "_replay_fleet_batched" in captured.err
+        # replay (its per-epoch walk), not just the single-cache engine.
+        assert "_replay_epoch" in captured.err
         assert "efficiency" in captured.out
 
     def test_fleet_rejects_single_lane_flags(self, trace_file, tmp_path):
