@@ -2,8 +2,9 @@
 
 Measures handled requests per second on a slice of the European trace
 (the figure in the bench report is seconds per slice; divide the slice
-size by it for req/s).  xLRU should be fastest (two O(1) structures),
-Cafe and Psychic pay their O(log n) tree and future-index costs.
+size by it for req/s).  xLRU should be fastest (two O(1) structures);
+Cafe and Psychic pay for their ``ScoreHeap`` (O(log n) per fill, lower
+or eviction, O(1) per raise) and Psychic for its future index.
 
 ``_seed_matrix`` replays a config matrix the way the seed's
 ``run_matrix`` did — one sequential loop per cell — for the replay

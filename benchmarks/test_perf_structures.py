@@ -6,6 +6,7 @@ ordered-set operations, and the caches' request rates bottleneck on
 them.
 """
 
+import math
 import random
 
 from repro.structures.ewma import IatEstimator
@@ -45,14 +46,41 @@ def test_lru_pop_oldest(benchmark):
     benchmark.pedantic(run, setup=setup, rounds=10)
 
 
-def test_scoreheap_n_smallest(benchmark):
-    heap = ScoreHeap()
+def test_scoreheap_cafe_mix(benchmark):
+    """Cafe's heap traffic on a full cache, from a fixed seed: every hit
+    raises its item's Eq. 9 key, and every miss takes a victim run
+    (``n_smallest`` then ``remove``) before its fill."""
+    capacity = 1024
+    gamma = 0.25
     rng = random.Random(8)
-    for i in range(N):
-        heap.insert(i, rng.random())
+    stream = [int(4 * capacity * rng.random() ** 6) for _ in range(N)]
 
-    result = benchmark(heap.n_smallest, 16)
-    assert len(result) == 16
+    def run():
+        heap = ScoreHeap()
+        last: dict = {}
+        dts: dict = {}
+        fills = 0
+        for t, item in enumerate(stream):
+            prev = last.get(item)
+            last[item] = t
+            dt = dts.get(item, math.inf)
+            if prev is not None:
+                gap = t - prev
+                dt = gap if math.isinf(dt) else gamma * gap + (1 - gamma) * dt
+                dts[item] = dt
+            key = -math.inf if math.isinf(dt) else gamma * t - (1 - gamma) * dt
+            if item not in heap:
+                fills += 1
+                if len(heap) >= capacity:
+                    for victim, _key in heap.n_smallest(1, exclude={item}):
+                        heap.remove(victim)
+            heap.insert(item, key)
+        return heap, fills
+
+    heap, fills = benchmark(run)
+    assert len(heap) == capacity
+    assert capacity < fills < N // 2
+    heap.check_invariants()
 
 
 def test_ewma_record_and_key(benchmark):

@@ -38,10 +38,6 @@ class PrefetchStats:
     filled_chunks: int = 0
     windows: int = 0
 
-    @property
-    def filled_bytes_factor(self) -> int:
-        return self.filled_chunks
-
 
 class ProactiveFiller:
     """Off-peak prefetching wrapper around an online cache.

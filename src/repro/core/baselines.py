@@ -468,9 +468,7 @@ class BeladyCache(VideoCache):
         evicted = 0
         need = len(missing) - (self.disk_chunks - len(self._cached))
         if need > 0:
-            for chunk, _key in self._cached.n_smallest(need, exclude=set(chunks)):
-                self._cached.remove(chunk)
-                evicted += 1
+            evicted = len(self._cached.pop_n_smallest(need, exclude=set(chunks)))
         for chunk in missing:
             self._cached.insert(chunk, self._eviction_key(chunk))
         return CacheResponse(

@@ -138,8 +138,13 @@ class LruKCache(VideoCache):
         need = len(missing) - (self.disk_chunks - len(cached))
         if need > 0:
             exclude = {(video, c) for c in range(c0, c1 + 1)}
-            for chunk, _score in cached.n_smallest(need, exclude=exclude):
-                self._evict(chunk)
+            video_chunks = self._video_chunks
+            for (v, c), _score in cached.pop_n_smallest(need, exclude=exclude):
+                siblings = video_chunks.get(v)
+                if siblings is not None:
+                    siblings.discard(c)
+                    if not siblings:
+                        del video_chunks[v]
                 evicted += 1
         siblings = self._video_chunks.setdefault(video, set())
         for chunk in missing:
@@ -162,14 +167,6 @@ class LruKCache(VideoCache):
         if history is None or len(history) < self.k:
             return -_INF
         return history[0]
-
-    def _evict(self, chunk: ChunkId) -> None:
-        self._cached.remove(chunk)
-        siblings = self._video_chunks.get(chunk[0])
-        if siblings is not None:
-            siblings.discard(chunk[1])
-            if not siblings:
-                del self._video_chunks[chunk[0]]
 
     def _trim_history(self) -> None:
         """Bound the history table, dropping the stalest videos first."""
@@ -244,8 +241,7 @@ class GreedyDualSizeCache(VideoCache):
         need = len(missing) - (self.disk_chunks - len(cached))
         if need > 0:
             exclude = {(video, c) for c in range(c0, c1 + 1)}
-            for chunk, h_value in cached.n_smallest(need, exclude=exclude):
-                cached.remove(chunk)
+            for _chunk, h_value in cached.pop_n_smallest(need, exclude=exclude):
                 self._inflation = max(self._inflation, h_value)
                 evicted += 1
             credit = self._inflation + self.cost_model.fill_cost

@@ -164,10 +164,3 @@ def alpha_sweep_cached(
             trace, disk, alphas=alphas, workers=workers, **kwargs
         )
     return _SWEEP_CACHE[key]
-
-
-def clear_caches() -> None:
-    """Drop memoized traces and sweeps (tests use this for isolation)."""
-    _TRACE_CACHE.clear()
-    _FOOTPRINT_CACHE.clear()
-    _SWEEP_CACHE.clear()

@@ -156,9 +156,6 @@ class EventLog:
             del self.records[:overflow]
             self.dropped += overflow
 
-    def to_dicts(self) -> List[dict]:
-        return [record.to_dict() for record in self.records]
-
     def __len__(self) -> int:
         return len(self.records)
 

@@ -138,12 +138,6 @@ class ServeClient:
         high = retry_after * 1.5 * (2 ** min(attempt, 6))
         return self._rng.uniform(low, high)
 
-    def sleep_backoff(self, retry_after: float, attempt: int = 0) -> float:
-        """Sleep :meth:`backoff`; returns the jittered wait used."""
-        wait = self.backoff(retry_after, attempt)
-        time.sleep(wait)
-        return wait
-
 
 class ShardedSeq:
     """Client-side per-shard sequence bookkeeping for a sharded fleet.

@@ -7,7 +7,8 @@ The paper (Sections 5 and 6) prescribes two container shapes:
   tracker and the xLRU disk cache (:class:`AccessRecencyList`).
 * A set ordered by virtual-timestamp keys plus a hash map, used by
   Cafe Cache where re-insertions happen at arbitrary key positions:
-  the heap-backed :class:`ScoreHeap`.
+  the heap-backed :class:`ScoreHeap`.  Its re-keys that raise a key
+  (every Cafe hit, by Eqs. 8-9) touch only the hash map.
 
 It also prescribes per-chunk exponentially weighted moving-average
 inter-arrival-time tracking (Eq. 8) with the virtual-timestamp key of

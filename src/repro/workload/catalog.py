@@ -54,11 +54,6 @@ class VideoCatalog:
     def __contains__(self, video_id: int) -> bool:
         return video_id in self._by_id
 
-    @property
-    def total_bytes(self) -> int:
-        """Catalog footprint if everything were stored."""
-        return sum(v.size_bytes for v in self.videos)
-
     @classmethod
     def generate(
         cls,

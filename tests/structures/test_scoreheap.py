@@ -1,12 +1,15 @@
 """Unit, property and differential tests for ScoreHeap.
 
-ScoreHeap is the lazy-deletion heap under the decision kernels; its
-observable contract is *exact* ascending ``(score, seq)`` order (each
-insert takes the next sequence number), plus two kernel-facing
-extensions:
+ScoreHeap is the lazy heap under the decision kernels; its observable
+contract is *exact* ascending ``(score, seq)`` order (each insert takes
+the next sequence number), plus two kernel-facing extensions:
 ``raw_index`` (stable read-only key dict) and ``pop_n_smallest`` (fused
-eviction run).
+eviction run).  Inside, each live item keeps one *anchor* entry at or
+below its live key, so a raise pushes nothing.
 """
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,14 +70,80 @@ class TestBasics:
 
     def test_compaction_keeps_order(self):
         h = ScoreHeap()
-        # churn one item enough to trip repeated compactions
+        # lower one item beside a small live set, so its stale anchors
+        # outnumber the live items and trip repeated compactions
         for i in range(200):
-            h.insert("hot", float(i))
-            h.insert(i, float(-i))
+            h.insert("hot", float(-i))
+            h.insert(i % 3, float(i))
         h.check_invariants()
+        assert len(h._heap) <= 2 * len(h)
         drained = [h.pop_min() for _ in range(len(h))]
-        assert drained[0] == (199, -199.0)
-        assert drained[-1] == ("hot", 199.0)
+        assert drained == [("hot", -199.0), (2, 197.0), (0, 198.0), (1, 199.0)]
+
+
+class TestLazyRaises:
+    """A raise re-keys only the index; the item's anchor entry stays
+    at or below the live key until it surfaces at the top."""
+
+    def test_raise_pushes_nothing_fill_and_lower_push_one(self):
+        h = ScoreHeap()
+        h.insert("a", 1.0)
+        assert len(h._heap) == 1
+        h.insert("a", 5.0)  # raise
+        h.insert("a", 5.0)  # equal-score re-insert: also a raise
+        assert len(h._heap) == 1
+        h.insert("b", 2.0)  # fill
+        assert len(h._heap) == 2
+        h.insert("a", 0.5)  # lower, below the anchor at 1.0
+        assert len(h._heap) == 3
+        h.check_invariants()
+        assert list(h.items_ascending()) == [("a", 0.5), ("b", 2.0)]
+
+    def test_equal_score_reinsert_orders_after(self):
+        """The re-insert takes a new seq, so ``a`` now follows ``b``."""
+        h = ScoreHeap()
+        h.insert("a", 1.0)
+        h.insert("b", 1.0)
+        h.insert("a", 1.0)
+        assert h.raw_index() == {"a": (1.0, 2), "b": (1.0, 1)}
+        assert h.min_item() == ("b", 1.0)
+        assert h.n_smallest(2) == [("b", 1.0), ("a", 1.0)]
+        assert h.pop_n_smallest(2) == [("b", 1.0), ("a", 1.0)]
+        h.check_invariants()
+
+    def test_stale_entry_of_a_raised_item_is_dropped(self):
+        """Only the anchor, found by identity, is re-pushed at the live
+        key; the entry a lower left behind stays stale."""
+        h = ScoreHeap()
+        h.insert("a", 1.0)
+        h.insert("a", 0.0)  # lower: the entry at 1.0 goes stale
+        h.insert("a", 10.0)  # raise: the anchor stays at 0.0
+        h.insert("b", 2.0)
+        assert h.n_smallest(3) == [("b", 2.0), ("a", 10.0)]
+        h.check_invariants()
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda h: pickle.loads(pickle.dumps(h)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_clone_keeps_anchor_identity(self, clone):
+        """Sweep lanes are cloned by pickle and tests deep-copy caches:
+        both must keep each anchor the very tuple that sits in the heap."""
+        h = ScoreHeap()
+        for i in range(50):
+            h.insert((i, 0), float(i % 7))
+        for i in range(0, 50, 3):
+            h.insert((i, 0), float(10 + i))  # raises, anchors left low
+        h.insert((1, 0), -1.0)  # a lower leaves one stale entry
+        assert any(
+            h.raw_index()[item] != (score, seq) for score, seq, item in h._heap
+        )
+        twin = clone(h)
+        twin.check_invariants()
+        assert twin.raw_index() == h.raw_index()
+        got = [twin.pop_min() for _ in range(len(twin))]
+        assert got == [h.pop_min() for _ in range(len(h))]
 
 
 class TestRawIndex:

@@ -6,6 +6,8 @@ ordering bugs unit tests miss — e.g. keys computed at different times
 disagreeing about eviction order (the Theorem 1 pitfall).
 """
 
+import math
+
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -20,6 +22,13 @@ from repro.structures.scoreheap import ScoreHeap
 
 ITEMS = st.integers(0, 25)
 SCORES = st.floats(-1e6, 1e6, allow_nan=False)
+#: ScoreHeap keys: finite scores, plus ``-inf`` (Cafe's key for a chunk
+#: before its first IAT sample)
+HEAP_SCORES = SCORES | st.just(-math.inf)
+#: re-key offsets, zero included: an equal-score re-insert still takes
+#: a new seq, so it must order after the items it used to precede
+DELTAS = st.just(0.0) | st.floats(0.0, 1e3, allow_nan=False)
+EXCLUDES = st.sets(ITEMS, max_size=6)
 
 
 class ScoreHeapMachine(RuleBasedStateMachine):
@@ -29,11 +38,36 @@ class ScoreHeapMachine(RuleBasedStateMachine):
         self.model: dict[int, tuple[float, int]] = {}
         self.seq = 0
 
-    @rule(item=ITEMS, score=SCORES)
-    def insert(self, item, score):
+    def _insert(self, item, score):
         self.heap.insert(item, score)
         self.model[item] = (score, self.seq)
         self.seq += 1
+
+    def _ascending(self, exclude=frozenset()):
+        return [
+            (item, self.model[item][0])
+            for item in sorted(self.model, key=self.model.__getitem__)
+            if item not in exclude
+        ]
+
+    @rule(item=ITEMS, score=HEAP_SCORES)
+    def insert(self, item, score):
+        self._insert(item, score)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), delta=DELTAS)
+    def raise_(self, data, delta):
+        """A raise only re-keys the index: the heap keeps its length."""
+        item = data.draw(st.sampled_from(sorted(self.model)))
+        entries = len(self.heap._heap)
+        self._insert(item, self.model[item][0] + delta)
+        assert len(self.heap._heap) == entries
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), delta=st.floats(1e-3, 1e3, allow_nan=False))
+    def lower(self, data, delta):
+        item = data.draw(st.sampled_from(sorted(self.model)))
+        self._insert(item, self.model[item][0] - delta)
 
     @rule(item=ITEMS)
     def discard(self, item):
@@ -43,17 +77,27 @@ class ScoreHeapMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.model)
     @rule()
-    def pop_min(self):
-        expected = min(self.model, key=lambda k: self.model[k])
-        item, score = self.heap.pop_min()
-        assert item == expected
-        assert score == self.model.pop(expected)[0]
+    def min_item(self):
+        assert self.heap.min_item() == self._ascending()[0]
 
-    @rule(n=st.integers(0, 8))
-    def peek_n_smallest(self, n):
-        got = self.heap.n_smallest(n)
-        expected = sorted(self.model, key=lambda k: self.model[k])[:n]
-        assert [item for item, _ in got] == expected
+    @precondition(lambda self: self.model)
+    @rule()
+    def pop_min(self):
+        expected = self._ascending()[0]
+        assert self.heap.pop_min() == expected
+        del self.model[expected[0]]
+
+    @rule(n=st.integers(0, 8), exclude=st.none() | EXCLUDES)
+    def peek_n_smallest(self, n, exclude):
+        got = self.heap.n_smallest(n, exclude=exclude)
+        assert got == self._ascending(exclude or ())[:n]
+
+    @rule(n=st.integers(0, 8), exclude=st.none() | EXCLUDES)
+    def pop_n_smallest(self, n, exclude):
+        expected = self._ascending(exclude or ())[:n]
+        assert self.heap.pop_n_smallest(n, exclude=exclude) == expected
+        for item, _score in expected:
+            del self.model[item]
 
     @invariant()
     def sizes_agree(self):
