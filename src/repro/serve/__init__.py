@@ -30,6 +30,7 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     decide_and_account,
+    decide_block,
     new_totals,
     parse_line,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "TransientDecisionError",
     "connect_with_retry",
     "decide_and_account",
+    "decide_block",
     "merged_summary",
     "new_totals",
     "parse_line",

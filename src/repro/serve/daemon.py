@@ -19,6 +19,10 @@ Every robustness defense lives in exactly one place:
 * **transient decision failures** are retried with bounded exponential
   backoff inside the worker; a worker crash is caught by the
   supervisor, which restarts it and keeps serving;
+* **per-request overhead** is paid per batch: at each wake-up the
+  worker takes every ready request, sends the in-order run through one
+  call of the cache's block entry and answers each connection with one
+  write, while every request keeps the answer it would get alone;
 * **process death** is covered by the snapshotter: cache state, traffic
   totals and the request-sequence watermark persist as one atomic unit,
   and the exactly-once protocol (:mod:`repro.serve.protocol`) lets
@@ -28,22 +32,24 @@ Every robustness defense lives in exactly one place:
 from __future__ import annotations
 
 import asyncio
+import bisect
 import hashlib
 import json
 import random
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cdn.sharding import shard_of
 from repro.obs.events import EventLog
 from repro.serve.limiter import TokenBucket
 from repro.serve.protocol import (
     ProtocolError,
-    decide_and_account,
+    decide_block,
     decision_response,
     duplicate_response,
+    encode_response,
     error_response,
     new_totals,
     parse_line,
@@ -51,6 +57,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.slo import ServeSLO
 from repro.serve.snapshotter import SnapshotStore
+from repro.sim.engine import _block_entry, _kernels_enabled
 from repro.sim.runner import build_cache
 from repro.trace.requests import DEFAULT_CHUNK_BYTES
 
@@ -143,6 +150,9 @@ class DecisionService:
             alpha_f2r=config.alpha_f2r,
             chunk_bytes=config.chunk_bytes,
         )
+        # read once: REPRO_NO_KERNELS sends serving through the
+        # per-request reference, as it does every other block lane
+        self._entry = _block_entry(self.cache, _kernels_enabled())
         self.totals = new_totals()
         self.watermark = 0
         self.last_t = float("-inf")
@@ -171,7 +181,7 @@ class DecisionService:
                 )
 
     def apply(self, request: dict) -> dict:
-        """Apply one parsed decision request under the seq discipline.
+        """Apply one parsed decision request: :meth:`apply_batch` of one.
 
         Exactly one of: a ``decision`` response (seq consumed), a
         ``duplicate`` ack (nothing changed), a ``sequence-gap`` error
@@ -179,55 +189,124 @@ class DecisionService:
         failures and injected crashes fire *before* any mutation, so a
         retry or a restart replays safely).
         """
-        if self.config.shard_id is not None:
-            owner = shard_of(
-                request["video"], self.config.num_shards, self.config.num_buckets
-            )
-            if owner != self.config.shard_id:
-                # defense in depth against a buggy router: a misrouted
-                # video must never enter this shard's cache or consume
-                # its sequence space (it belongs to another stream)
-                return error_response(
-                    "misrouted",
-                    f"video {request['video']} belongs to shard {owner}, "
-                    f"this is shard {self.config.shard_id}/"
-                    f"{self.config.num_shards}",
-                    request["seq"],
+        responses, failure = self.apply_batch([request])
+        if failure is not None:
+            raise failure
+        return responses[0]
+
+    def apply_batch(
+        self, requests: Sequence[dict]
+    ) -> Tuple[List[dict], Optional[Exception]]:
+        """Apply parsed decision requests in order under the seq discipline.
+
+        Each request gets the answer it would get alone, judged against
+        a running watermark: a decision, a ``duplicate`` ack or a
+        ``sequence-gap`` error (unsequenced requests are implicitly
+        next); on a sharded worker a misrouted video is answered
+        ``misrouted`` without consuming its seq.  The consumed requests
+        reach the cache through :func:`~repro.serve.protocol.decide_block`,
+        one block-entry call for the whole in-order run.
+
+        Returns ``(responses, failure)``.  An injected crash or
+        transient fault fires at the request it hits, before that
+        request touches anything: the run before it is applied, and
+        ``responses`` holds the answers of the requests before it, with
+        the exception as ``failure``.  An exception from the block walk
+        itself is returned the same way, at the run's first request.
+        Otherwise ``failure`` is None and every request is answered.
+        """
+        config = self.config
+        shard_id = config.shard_id
+        fault_rate = config.fault_rate
+        watermark = self.watermark
+        responses: List[Optional[dict]] = []
+        run: List[int] = []
+        ts: List[float] = []
+        videos: List[int] = []
+        b0s: List[int] = []
+        b1s: List[int] = []
+        failure: Optional[Exception] = None
+        for request in requests:
+            if shard_id is not None:
+                owner = shard_of(
+                    request["video"], config.num_shards, config.num_buckets
                 )
-        seq = request["seq"]
-        if seq is None:
-            seq = self.watermark + 1
-        if seq <= self.watermark:
-            return duplicate_response(seq, self.watermark)
-        if seq != self.watermark + 1:
-            return error_response(
-                "sequence-gap",
-                f"seq {seq} but watermark {self.watermark}; "
-                f"resend from {self.watermark + 1}",
-                seq,
-            )
-        if self._crash_next:
-            self._crash_next = False
-            raise RuntimeError("injected worker crash (crash-worker op)")
-        if self.config.fault_rate > 0 and (
-            self._rng.random() < self.config.fault_rate
-        ):
-            raise TransientDecisionError("injected transient decision failure")
-        fields, self.last_t = decide_and_account(
-            self.cache,
-            self.totals,
-            request["t"],
-            request["video"],
-            request["b0"],
-            request["b1"],
-            self.last_t,
-        )
-        self.watermark = seq
-        self._applied_since_snapshot += 1
-        return decision_response(seq, fields)
+                if owner != shard_id:
+                    # defense in depth against a buggy router: a misrouted
+                    # video must never enter this shard's cache or consume
+                    # its sequence space (it belongs to another stream)
+                    responses.append(
+                        error_response(
+                            "misrouted",
+                            f"video {request['video']} belongs to shard "
+                            f"{owner}, this is shard {shard_id}/"
+                            f"{config.num_shards}",
+                            request["seq"],
+                        )
+                    )
+                    continue
+            seq = request["seq"]
+            if seq is None:
+                seq = watermark + 1
+            if seq <= watermark:
+                responses.append(duplicate_response(seq, watermark))
+                continue
+            if seq != watermark + 1:
+                responses.append(
+                    error_response(
+                        "sequence-gap",
+                        f"seq {seq} but watermark {watermark}; "
+                        f"resend from {watermark + 1}",
+                        seq,
+                    )
+                )
+                continue
+            if self._crash_next:
+                self._crash_next = False
+                failure = RuntimeError("injected worker crash (crash-worker op)")
+                break
+            if fault_rate > 0 and self._rng.random() < fault_rate:
+                failure = TransientDecisionError(
+                    "injected transient decision failure"
+                )
+                break
+            watermark = seq
+            run.append(len(responses))
+            responses.append(None)
+            ts.append(request["t"])
+            videos.append(request["video"])
+            b0s.append(request["b0"])
+            b1s.append(request["b1"])
+        if run:
+            try:
+                fields, self.last_t = decide_block(
+                    self._entry,
+                    self.cache.chunk_bytes,
+                    self.totals,
+                    ts,
+                    videos,
+                    b0s,
+                    b1s,
+                    self.last_t,
+                )
+            except Exception as exc:
+                # a failing walk (a cache bug) fails as a crash at the
+                # run's first request: the answers judged after it
+                # assumed the run applied, and none of the run is
+                # consumed or counted (the cache keeps whatever the walk
+                # did before it raised)
+                return responses[: run[0]], exc
+            # the run took the seqs after the old watermark, in order
+            seq = self.watermark
+            for i, f in zip(run, fields):
+                seq += 1
+                responses[i] = decision_response(seq, f)
+            self.watermark = watermark
+            self._applied_since_snapshot += len(run)
+        return responses, failure
 
     def arm_crash(self) -> None:
-        """Test hook: the next :meth:`apply` raises (worker crash)."""
+        """Test hook: the next in-order request fails as a worker crash."""
         self._crash_next = True
 
     def snapshot_due(self) -> bool:
@@ -301,6 +380,8 @@ class ServeDaemon:
         self._started_wall = time.time()
         self._started_perf = time.perf_counter()
         self._stdio = False
+        #: items a crashed worker dequeued but left unanswered
+        self._carry: List[_QueueItem] = []
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -570,57 +651,143 @@ class ServeDaemon:
     async def _worker(self) -> None:
         queue = self.queue
         while True:
-            item = await queue.get()
+            # a crashed worker's unanswered remainder comes first: the
+            # restarted worker answers it as if it had been queued
+            batch, self._carry = self._carry, []
+            if not batch:
+                batch.append(await queue.get())
+            while queue.qsize():
+                batch.append(queue.get_nowait())
             try:
-                await self._process_item(item)
+                await self._decide_batch(batch)
             finally:
-                queue.task_done()
+                for _ in range(len(batch) - len(self._carry)):
+                    queue.task_done()
                 self._update_degraded()
 
-    async def _process_item(self, item: _QueueItem) -> None:
-        parsed, writer, enqueued = item
+    async def _decide_batch(self, batch: List[_QueueItem]) -> None:
+        """Decide and answer one wake-up's items, in queue order.
+
+        Every connection sees the responses a one-at-a-time worker would
+        give it.  Deadlines are judged against one ``now``; the rest go
+        to :meth:`DecisionService.apply_batch`, one block-entry call per
+        in-order run.  A transient fault at item ``i`` answers the run
+        before ``i``, retries ``i`` with backoff (``decision-failed``
+        once retries run out, seq not consumed), then continues from
+        ``i + 1``.  An injected crash at ``i``, or a block walk that
+        raises at the run starting at ``i``, answers the items before
+        ``i``, leaves ``i`` unanswered and hands the rest of the batch
+        to the restarted worker.  A snapshot the batch made due is
+        taken before its answers go out, and a failing one still lets
+        them out.
+        """
         config = self.config
-        waited = time.perf_counter() - enqueued
-        if waited > config.request_timeout:
-            # the deadline covers queue wait: answering late is worse
-            # than a structured timeout the client can retry (seq was
-            # not consumed, so the retry is exactly-once safe)
-            self.slo.count("serve.timeouts")
-            await self._send(
-                writer,
-                error_response(
-                    "timeout",
-                    f"queued {waited:.3f}s > deadline {config.request_timeout:g}s",
-                    parsed.get("seq"),
-                ),
-            )
-            return
+        service = self.service
+        slo = self.slo
         t0 = time.perf_counter()
-        response: Optional[dict] = None
-        for attempt in range(config.max_retries + 1):
-            try:
-                response = self.service.apply(parsed)
-                break
-            except TransientDecisionError as exc:
-                self.slo.count("serve.retries")
-                if attempt >= config.max_retries:
-                    self.slo.count("serve.decision_failures")
-                    response = error_response(
-                        "decision-failed",
-                        f"{exc} (after {attempt + 1} attempts)",
-                        parsed.get("seq"),
-                    )
-                    break
-                await asyncio.sleep(config.retry_base_delay * (2**attempt))
-        elapsed = time.perf_counter() - t0
-        self.slo.observe_decision(elapsed)
-        if self.service.snapshot_due():
-            if self.state.degraded:
-                # degradation sheds observability first, decisions last
-                self.state.snapshots_skipped_degraded += 1
+        responses: List[Optional[dict]] = [None] * len(batch)
+        # the undecided items: their positions and their requests
+        pending: List[int] = []
+        requests: List[dict] = []
+        timeouts: List[int] = []
+        for i, (parsed, _writer, enqueued) in enumerate(batch):
+            waited = t0 - enqueued
+            if waited > config.request_timeout:
+                # the deadline covers queue wait: answering late is worse
+                # than a structured timeout the client can retry (seq was
+                # not consumed, so the retry is exactly-once safe)
+                timeouts.append(i)
+                responses[i] = error_response(
+                    "timeout",
+                    f"queued {waited:.3f}s > deadline "
+                    f"{config.request_timeout:g}s",
+                    parsed.get("seq"),
+                )
             else:
-                self.service.snapshot_now()
-        await self._send(writer, response)
+                pending.append(i)
+                requests.append(parsed)
+        # (decide time, decisions) per answered run, folded into the SLO
+        # sketch once the responses are out
+        latencies: List[Tuple[float, int]] = []
+        answered = attempt = 0
+        while pending:
+            decided, failure = service.apply_batch(requests)
+            n = len(decided)
+            if n:
+                for i, response in zip(pending, decided):
+                    responses[i] = response
+                latencies.append((time.perf_counter() - t0, n))
+                attempt = 0
+            if failure is None:
+                break
+            del pending[:n]
+            del requests[:n]
+            i = pending[0]
+            if not isinstance(failure, TransientDecisionError):
+                # the restarted worker judges the rest afresh, timeouts too
+                if timeouts:
+                    slo.count("serve.timeouts", bisect.bisect(timeouts, i))
+                await self._answer(batch, responses, answered, i, latencies)
+                self._carry = batch[i + 1 :]
+                raise failure
+            slo.count("serve.retries")
+            if attempt >= config.max_retries:
+                slo.count("serve.decision_failures")
+                responses[i] = error_response(
+                    "decision-failed",
+                    f"{failure} (after {attempt + 1} attempts)",
+                    requests[0].get("seq"),
+                )
+                latencies.append((time.perf_counter() - t0, 1))
+                del pending[0]
+                del requests[0]
+                attempt = 0
+                continue
+            await self._answer(batch, responses, answered, i, latencies)
+            answered = i
+            await asyncio.sleep(config.retry_base_delay * (2**attempt))
+            attempt += 1
+        if timeouts:
+            slo.count("serve.timeouts", len(timeouts))
+        try:
+            # a snapshot made due by this batch is durable before its
+            # answers go out
+            if service.snapshot_due():
+                if self.state.degraded:
+                    # degradation sheds observability first, decisions last
+                    self.state.snapshots_skipped_degraded += 1
+                else:
+                    service.snapshot_now()
+        finally:
+            # a failing snapshot (a full disk) crashes the worker, but
+            # not before the batch is answered: clients already accept
+            # answers newer than the last snapshot
+            await self._answer(batch, responses, answered, len(batch), latencies)
+
+    async def _answer(
+        self,
+        batch: List[_QueueItem],
+        responses: List[Optional[dict]],
+        lo: int,
+        hi: int,
+        latencies: List[Tuple[float, int]],
+    ) -> None:
+        """Write items ``lo:hi``'s responses, one write per connection,
+        then fold (and clear) the pending decide-time samples."""
+        lines: Dict[asyncio.StreamWriter, List[bytes]] = {}
+        for i in range(lo, hi):
+            writer = batch[i][1]
+            chunk = lines.get(writer)
+            if chunk is None:
+                chunk = lines[writer] = []
+            chunk.append(encode_response(responses[i]))
+        for writer, chunk in lines.items():
+            self._write(writer, b"".join(chunk))
+        for seconds, n in latencies:
+            self.slo.observe_decision(seconds, n)
+        latencies.clear()
+        for writer in lines:
+            await self._drain(writer)
 
     async def _supervisor(self) -> None:
         """Restart the decision worker whenever it crashes."""
@@ -753,11 +920,21 @@ class ServeDaemon:
             self.events.info("recovered", f"queue depth {depth}/{limit}")
 
     async def _send(self, writer: asyncio.StreamWriter, response: dict) -> None:
+        self._write(writer, encode_response(response))
+        await self._drain(writer)
+
+    # a client that went away is its loss, not our crash
+    def _write(self, writer: asyncio.StreamWriter, data: bytes) -> None:
         try:
-            writer.write((json.dumps(response) + "\n").encode())
+            writer.write(data)
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            pass
+
+    async def _drain(self, writer: asyncio.StreamWriter) -> None:
+        try:
             await writer.drain()
         except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # client went away; its loss is not our crash
+            pass
 
     def _close_writer(self, writer: asyncio.StreamWriter) -> None:
         try:

@@ -23,18 +23,26 @@ watermark and resends from ``watermark + 1`` — replayed requests land
 exactly once no matter where the crash fell relative to the last
 snapshot.
 
-:func:`decide_and_account` is the *single* implementation of
-decision + traffic accounting, shared by the live daemon and the
-offline batch comparator, so "daemon totals == batch totals" holds by
-construction rather than by parallel maintenance.
+:func:`decide_block` is the *single* implementation of decision +
+traffic accounting, and it is block-form: the live daemon sends each
+batch's in-order run of requests through one call of the cache's
+block entry, and the offline batch comparators send whole trace
+blocks through the per-request reference entry.  Both fold the same
+totals by the same code, so "daemon totals == batch totals" is an
+exact check of the daemon's hoisted walk against independent code.
+:func:`decide_and_account` is its one-request case.
+:func:`encode_response` turns responses into wire lines, applied
+decisions through two byte templates.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import Decision, VideoCache
+from repro.sim.engine import _block_entry
+from repro.trace.columnar import list_block
 
 __all__ = [
     "ERROR_CODES",
@@ -46,6 +54,8 @@ __all__ = [
     "duplicate_response",
     "error_response",
     "shed_response",
+    "encode_response",
+    "decide_block",
     "decide_and_account",
     "new_totals",
 ]
@@ -183,6 +193,37 @@ def shed_response(retry_after: float, detail: str = "admission shed") -> dict:
     }
 
 
+#: The two applied-decision lines, byte-equal to
+#: ``json.dumps(decision_response(seq, fields)) + "\n"`` for the fields
+#: :func:`decide_block` builds.
+_SERVE_LINE = (
+    b'{"ok": true, "kind": "decision", "seq": %d, "decision": "serve", '
+    b'"filled_chunks": %d, "evicted_chunks": %d}\n'
+)
+_REDIRECT_LINE = (
+    b'{"ok": true, "kind": "decision", "seq": %d, "decision": "redirect"}\n'
+)
+
+
+def encode_response(response: dict) -> bytes:
+    """One response as its wire line (UTF-8 JSON plus newline).
+
+    Serve and redirect decisions fill a byte template; every other
+    response (stale rejections included) goes through ``json.dumps``.
+    """
+    if response.get("kind") == "decision":
+        decision = response["decision"]
+        if decision == "serve":
+            return _SERVE_LINE % (
+                response["seq"],
+                response["filled_chunks"],
+                response["evicted_chunks"],
+            )
+        if decision == "redirect":
+            return _REDIRECT_LINE % response["seq"]
+    return (json.dumps(response) + "\n").encode()
+
+
 # -- shared decision accounting ------------------------------------------------
 
 
@@ -200,6 +241,86 @@ def new_totals() -> Dict[str, int]:
     }
 
 
+def decide_block(
+    entry: Callable,
+    chunk_bytes: int,
+    totals: Dict[str, int],
+    ts: Sequence[float],
+    videos: Sequence[int],
+    b0s: Sequence[int],
+    b1s: Sequence[int],
+    last_t: float,
+) -> Tuple[List[dict], float]:
+    """Apply a run of requests through one block-entry call; fold totals.
+
+    ``entry`` is a cache's block entry (its own
+    ``handle_span_block_kernel`` or the base-class per-request
+    reference, bound to the cache); the requests reach it as one
+    list-backed :class:`~repro.trace.columnar.BlockView`.  Returns
+    ``(fields, new_last_t)``: each request's response fields, in order,
+    and the stream clock after them.
+
+    Timestamps must be non-decreasing: a request whose ``t`` went
+    backwards against the running clock is *consumed* (counted under
+    ``rejected_stale``) but left out of the block, so it never touches
+    the cache.  The daemon and the batch comparators both apply this
+    rule, so totals stay byte-identical across them.
+    """
+    n = len(ts)
+    fields: List[Optional[dict]] = [None] * n
+    fresh: List[int] = []
+    for i, t in enumerate(ts):
+        if t < last_t:
+            fields[i] = {
+                "decision": "rejected",
+                "error": "stale-timestamp",
+                "detail": f"t={t!r} is before the stream clock {last_t!r}",
+            }
+        else:
+            last_t = t
+            fresh.append(i)
+    stale = n - len(fresh)
+    if stale:
+        if not fresh:
+            totals["requests"] += n
+            totals["rejected_stale"] += n
+            return fields, last_t
+        ts = [ts[i] for i in fresh]
+        videos = [videos[i] for i in fresh]
+        b0s = [b0s[i] for i in fresh]
+        b1s = [b1s[i] for i in fresh]
+    block = list_block(chunk_bytes, ts, videos, b0s, b1s)
+    responses, _misses = entry(block)
+    serve = Decision.SERVE
+    served = hits = filled = evicted = 0
+    for i, response in zip(fresh, responses):
+        if response.decision is serve:
+            f = response.filled_chunks
+            e = response.evicted_chunks
+            served += 1
+            if f == 0:
+                hits += 1
+            filled += f
+            evicted += e
+            fields[i] = {
+                "decision": "serve",
+                "filled_chunks": f,
+                "evicted_chunks": e,
+            }
+        else:
+            fields[i] = {"decision": "redirect"}
+    # totals move only once the walk returned
+    totals["requests"] += n
+    totals["rejected_stale"] += stale
+    totals["served"] += served
+    totals["hits"] += hits
+    totals["redirected"] += len(fresh) - served
+    totals["filled_chunks"] += filled
+    totals["evicted_chunks"] += evicted
+    totals["requested_bytes"] += sum(block.num_bytes_l)
+    return fields, last_t
+
+
 def decide_and_account(
     cache: VideoCache,
     totals: Dict[str, int],
@@ -209,42 +330,16 @@ def decide_and_account(
     b1: int,
     last_t: float,
 ) -> Tuple[dict, float]:
-    """Apply one request to ``cache`` and fold it into ``totals``.
-
-    Returns ``(response_fields, new_last_t)``.  Timestamps must be
-    non-decreasing; a request whose ``t`` went backwards is *consumed*
-    (it advances the watermark and is counted under
-    ``rejected_stale``) but never touches the cache — both the daemon
-    and the batch comparator apply this rule, so totals stay
-    byte-identical across them.
-    """
-    if t < last_t:
-        totals["requests"] += 1
-        totals["rejected_stale"] += 1
-        return (
-            {
-                "decision": "rejected",
-                "error": "stale-timestamp",
-                "detail": f"t={t!r} is before the stream clock {last_t!r}",
-            },
-            last_t,
-        )
-    k = cache.chunk_bytes
-    response = cache.handle_span(t, video, b0, b1, b0 // k, b1 // k)
-    totals["requests"] += 1
-    totals["requested_bytes"] += b1 - b0 + 1
-    if response.decision is Decision.SERVE:
-        totals["served"] += 1
-        if response.filled_chunks == 0:
-            totals["hits"] += 1
-        totals["filled_chunks"] += response.filled_chunks
-        totals["evicted_chunks"] += response.evicted_chunks
-        fields = {
-            "decision": "serve",
-            "filled_chunks": response.filled_chunks,
-            "evicted_chunks": response.evicted_chunks,
-        }
-    else:
-        totals["redirected"] += 1
-        fields = {"decision": "redirect"}
-    return fields, t
+    """One request through :func:`decide_block` and the per-request
+    reference entry.  Returns ``(response_fields, new_last_t)``."""
+    fields, last_t = decide_block(
+        _block_entry(cache, False),
+        cache.chunk_bytes,
+        totals,
+        [t],
+        [video],
+        [b0],
+        [b1],
+        last_t,
+    )
+    return fields[0], last_t

@@ -1,7 +1,10 @@
 """Serve-side SLO measurement: decision latency and sustained QPS.
 
-Every admitted request's decision latency (dequeue to response built)
-feeds a :class:`~repro.obs.sketch.HistogramSketch` inside a standard
+The decision worker answers every request ready at a wake-up as one
+batch, so every admitted request's decision latency is its batch's
+decide time: from the batch's dequeue to its responses built.  A batch
+of ``n`` folds that one value ``n`` times, as one weighted add, into a
+:class:`~repro.obs.sketch.HistogramSketch` inside a standard
 :class:`~repro.obs.registry.MetricRegistry`, so the daemon's SLOs ride
 the existing ``repro.obs`` machinery — same sketches, same JSONL
 schema, same ``repro-report`` tooling — instead of a parallel metrics
@@ -76,14 +79,14 @@ class ServeSLO:
     def counter(self, name: str) -> float:
         return self.registry.counter(name)
 
-    def observe_decision(self, seconds: float) -> None:
-        """Fold one decision latency (seconds) into the sketch."""
+    def observe_decision(self, seconds: float, n: int = 1) -> None:
+        """Fold ``n`` decisions that each took ``seconds`` into the sketch."""
         now = time.perf_counter()
         if self._first_decision is None:
             self._first_decision = now
         self._last_decision = now
-        self._decisions += 1
-        self.registry.observe(_LATENCY, seconds * 1e6)
+        self._decisions += n
+        self.registry.histogram(_LATENCY).add(seconds * 1e6, n)
 
     # -- queries -------------------------------------------------------------
 

@@ -5,8 +5,10 @@ seeded :class:`~repro.cdn.faults.FaultSchedule` of ``restart`` events
 SIGKILLs and restarts it mid-run, injecting malformed lines along the
 way.  The pass criterion is exactness, not survival alone: the final
 traffic totals must be **byte-identical** to an uninterrupted batch
-replay of the same trace (both sides run
-:func:`repro.serve.protocol.decide_and_account`), the request-sequence
+replay of the same trace (both sides fold totals through
+:func:`repro.serve.protocol.decide_block`; the replay drives the
+per-request reference entry, the daemon its cache's own block walk,
+so the walk is checked against independent code), the request-sequence
 watermark must equal the trace length (nothing double-counted, nothing
 lost), and every malformed line must have been answered.
 
@@ -32,7 +34,8 @@ from repro.cdn.faults import FaultEvent, FaultSchedule
 from repro.cdn.sharding import DEFAULT_NUM_BUCKETS, shard_of
 from repro.serve.client import ServeClient, connect_with_retry
 from repro.serve.daemon import ServeConfig
-from repro.serve.protocol import decide_and_account, new_totals
+from repro.serve.protocol import decide_block, new_totals
+from repro.sim.engine import _block_entry
 from repro.sim.runner import build_cache
 from repro.trace.requests import Request
 
@@ -50,19 +53,36 @@ __all__ = [
 ]
 
 
+#: requests per block-entry call in the batch replays
+_REPLAY_BLOCK = 4096
+
+
 def batch_totals(config: ServeConfig, requests: Sequence[Request]) -> Dict[str, int]:
-    """The uninterrupted batch replay the daemon must match exactly."""
+    """The uninterrupted batch replay the daemon must match exactly.
+
+    One cache, fed in blocks through the per-request reference entry
+    (``handle_span`` per request), whatever lane the daemon decides on.
+    """
     cache = build_cache(
         config.algorithm,
         config.disk_chunks,
         alpha_f2r=config.alpha_f2r,
         chunk_bytes=config.chunk_bytes,
     )
+    entry = _block_entry(cache, False)
     totals = new_totals()
     last_t = float("-inf")
-    for r in requests:
-        _, last_t = decide_and_account(
-            cache, totals, r.t, r.video, r.b0, r.b1, last_t
+    for start in range(0, len(requests), _REPLAY_BLOCK):
+        block = requests[start : start + _REPLAY_BLOCK]
+        _, last_t = decide_block(
+            entry,
+            config.chunk_bytes,
+            totals,
+            [r.t for r in block],
+            [r.video for r in block],
+            [r.b0 for r in block],
+            [r.b1 for r in block],
+            last_t,
         )
     return totals
 
@@ -103,31 +123,18 @@ def sharded_batch_totals(
 
     N independent caches (one per shard, each sized ``disk_chunks``
     like its live counterpart), each with its own stale-timestamp
-    cursor, fed through the same :func:`shard_of` routing the router
-    applies — then totals summed.  This is the fleet's ground truth;
+    cursor: :func:`batch_totals` over each shard's share of the trace,
+    split by the same :func:`shard_of` routing the router applies —
+    then totals summed.  This is the fleet's ground truth;
     it intentionally differs from the single-cache :func:`batch_totals`
     (different cache partitioning ⇒ different hit patterns).
     """
-    caches = [
-        build_cache(
-            config.algorithm,
-            config.disk_chunks,
-            alpha_f2r=config.alpha_f2r,
-            chunk_bytes=config.chunk_bytes,
-        )
-        for _ in range(workers)
-    ]
-    per_shard = [new_totals() for _ in range(workers)]
-    last_t = [float("-inf")] * workers
+    per_shard: List[List[Request]] = [[] for _ in range(workers)]
     for r in requests:
-        shard = shard_of(r.video, workers, num_buckets)
-        _, last_t[shard] = decide_and_account(
-            caches[shard], per_shard[shard], r.t, r.video, r.b0, r.b1,
-            last_t[shard],
-        )
+        per_shard[shard_of(r.video, workers, num_buckets)].append(r)
     totals: Dict[str, int] = {}
-    for shard_totals in per_shard:
-        for key, value in shard_totals.items():
+    for shard_requests in per_shard:
+        for key, value in batch_totals(config, shard_requests).items():
             totals[key] = totals.get(key, 0) + value
     return totals
 

@@ -69,7 +69,13 @@ from repro.sim.instrumentation import (
     RunReport,
     StageTiming,
 )
-from repro.trace.columnar import PackedTrace, SharedTraceHandle, pack_trace
+from repro.trace.columnar import (
+    PackedTrace,
+    SharedTraceHandle,
+    new_segment_name,
+    pack_trace,
+    unlink_shared_segment,
+)
 from repro.trace.requests import Request
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -184,7 +190,10 @@ class SweepCheckpoint:
     # Version 2: pickled results may carry telemetry lanes and
     # level-tagged EngineEvents; version-1 journals (whose records
     # predate those fields) are ignored rather than half-unpickled.
-    VERSION = 2
+    # Version 3: each ``ScoreHeap`` keeps an ``_anchor`` index, so a
+    # version-2 record's pickled cache (Cafe, LFU-PK, ...) would load
+    # without it and fail on its next call; such records are ignored.
+    VERSION = 3
 
     def __init__(self, path: "os.PathLike | str") -> None:
         self.path = os.fspath(path)
@@ -331,10 +340,11 @@ def _exit_when_orphaned(owner: int) -> None:
 def _terminal_signal_cleanup(checkpoint, log):
     """SIGTERM/SIGINT handlers that release sweep resources first.
 
-    Yields a list to which the caller appends each shared trace segment
-    right after exporting it; the handlers are installed before any
-    segment exists, so a signal cannot meet an exported segment that
-    has no cleanup hook yet, bar the moment inside the export itself.
+    Yields a list to which the caller appends each shared trace
+    segment's *name* before exporting it; the handlers are installed
+    before any segment exists and unlink by name (a segment not created
+    yet, or already gone, is skipped), so a signal cannot meet a
+    segment that has no cleanup hook, even inside the export itself.
     SIGTERM's default disposition kills the process without unwinding
     ``finally`` blocks, which would leak the parent-owned ``/dev/shm``
     trace segments and leave a just-created checkpoint journal's
@@ -347,8 +357,8 @@ def _terminal_signal_cleanup(checkpoint, log):
     so it would never see EOF and would keep the unlinked segment (and
     the resource tracker) alive forever.  SIGINT performs the
     same cleanup but raises :class:`KeyboardInterrupt`, preserving the
-    existing Ctrl-C semantics; ``SharedTraceHandle.unlink`` is
-    idempotent, so the outer ``finally`` unlinking again is harmless.
+    existing Ctrl-C semantics; unlinking is idempotent, so the outer
+    ``finally`` unlinking again is harmless.
     Signal handlers can only be installed from the main thread —
     elsewhere this is a no-op.
     """
@@ -372,9 +382,9 @@ def _terminal_signal_cleanup(checkpoint, log):
             worker.join(timeout=1.0)
 
     def _cleanup(signum: int) -> None:
-        for shared in exported:
+        for name in exported:
             try:
-                shared.unlink()
+                unlink_shared_segment(name)
             except Exception:  # pragma: no cover - nothing left to do
                 pass
         if checkpoint is not None:
@@ -771,8 +781,9 @@ class SweepScheduler:
                                 if isinstance(requests, PackedTrace)
                                 else pack_trace(requests)
                             )
-                            shared = packed.to_shared()
-                            exported.append(shared)
+                            name = new_segment_name()
+                            exported.append(name)
+                            shared = packed.to_shared(name=name)
                             pack_seconds = time.perf_counter() - t_pack
                             payload = shared
                             self._note(

@@ -28,6 +28,7 @@ instead of one pickled copy per worker.
 from __future__ import annotations
 
 import os
+import secrets
 from collections.abc import Sequence
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -52,8 +53,11 @@ __all__ = [
     "PackedTraceBuilder",
     "SharedTraceHandle",
     "active_shared_traces",
+    "list_block",
+    "new_segment_name",
     "pack_trace",
     "request_block",
+    "unlink_shared_segment",
 ]
 
 #: Column order is the shared-memory layout: column ``i`` of an
@@ -270,7 +274,10 @@ class PackedTrace(Sequence):
             return handle
         except BaseException:
             shm.close()
-            shm.unlink()
+            try:
+                shm.unlink()
+            except FileNotFoundError:  # a signal handler unlinked it by name
+                pass
             raise
 
     def close(self) -> None:
@@ -390,6 +397,35 @@ class SharedTraceHandle:
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
         _ACTIVE_SEGMENTS.discard(self.name)
+
+
+def new_segment_name() -> str:
+    """A fresh shared-memory segment name for :meth:`PackedTrace.to_shared`.
+
+    Naming the segment before it exists lets a signal handler find it
+    by name at any moment of the export.
+    """
+    return "psm_" + secrets.token_hex(8)
+
+
+def unlink_shared_segment(name: str) -> None:
+    """Remove segment ``name`` by name, if it exists (idempotent).
+
+    Safe in a signal handler: it neither maps the segment nor talks to
+    the multiprocessing resource tracker, and either may be what the
+    signal interrupted (the first export starts the tracker).  The
+    tracker, if it registered the segment, may warn at exit that it
+    found it gone.
+    """
+    try:
+        import _posixshmem
+    except ImportError:  # pragma: no cover - segments die with their handles
+        return
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
+        pass
+    _ACTIVE_SEGMENTS.discard(name)
 
 
 class BlockView:
@@ -557,7 +593,8 @@ def request_block(
     Derives the chunk and count columns for ``chunk_bytes`` as
     :func:`pack_trace` does, but validates nothing: the caller
     guarantees time order and byte ranges (the fleet's upstream hop
-    buffers, built from packed shards, do).
+    buffers, built from packed shards, do).  The view is vectorized
+    when numpy is present, list-backed (:func:`list_block`) otherwise.
     """
     k = chunk_bytes
     if _np is not None:
@@ -578,13 +615,32 @@ def request_block(
             c0.tolist(), c1.tolist(), nb.tolist(), nc.tolist(),
         )
         return BlockView(k, lists, arrays)
-    c0s = [b // k for b in b0s]
-    c1s = [b // k for b in b1s]
-    lists = (
-        ts, videos, b0s, b1s, c0s, c1s,
-        [hi - lo + 1 for lo, hi in zip(b0s, b1s)],
-        [hi - lo + 1 for lo, hi in zip(c0s, c1s)],
-    )
+    return list_block(k, ts, videos, b0s, b1s)
+
+
+def list_block(
+    chunk_bytes: int, ts: list, videos: list, b0s: list, b1s: list
+) -> BlockView:
+    """A list-backed :class:`BlockView` over unpacked request columns.
+
+    Like :func:`request_block` but never vectorized, so a walk runs
+    every request undecided instead of first paying for its numpy
+    screen: the cheap view for short blocks, such as a serving batch.
+    """
+    k = chunk_bytes
+    c0s: List[int] = []
+    c1s: List[int] = []
+    num_bytes: List[int] = []
+    num_chunks: List[int] = []
+    # one loop beats four comprehensions at every block size
+    for b0, b1 in zip(b0s, b1s):
+        c0 = b0 // k
+        c1 = b1 // k
+        c0s.append(c0)
+        c1s.append(c1)
+        num_bytes.append(b1 - b0 + 1)
+        num_chunks.append(c1 - c0 + 1)
+    lists = (ts, videos, b0s, b1s, c0s, c1s, num_bytes, num_chunks)
     return BlockView(k, lists, None)
 
 

@@ -4,10 +4,17 @@ which by nature needs a subprocess)."""
 
 import asyncio
 import json
+import random
 import subprocess
 import sys
 
+import pytest
+
+from repro.core.base import VideoCache
 from repro.serve.daemon import ServeConfig, ServeDaemon
+from repro.serve.soak import batch_totals
+from repro.sim.engine import NO_KERNELS_ENV
+from repro.verify.fuzz import adversarial_trace
 
 K = 1024
 
@@ -67,13 +74,13 @@ class Harness:
 
 def _slow_worker(daemon, delay):
     """Make every dequeued item take ``delay`` seconds to decide."""
-    original = daemon._process_item
+    original = daemon._decide_batch
 
-    async def slowed(item):
-        await asyncio.sleep(delay)
-        await original(item)
+    async def slowed(batch):
+        await asyncio.sleep(delay * len(batch))
+        await original(batch)
 
-    daemon._process_item = slowed
+    daemon._decide_batch = slowed
 
 
 class TestRequestResponse:
@@ -408,3 +415,220 @@ class TestStdioLane:
         assert decision["seq"] == 1 and decision["decision"] == "serve"
         assert any(r.get("error") == "malformed" for r in responses)
         assert by_kind["stats"]["counters"]["serve.malformed"] == 1
+
+
+class TestBlockLane:
+    """Pipelined lines reach the worker as one batch: the connection
+    handler reads every buffered line before the worker wakes, and the
+    worker takes every ready item at once."""
+
+    @staticmethod
+    async def pipeline(writer, requests):
+        writer.write(
+            b"".join((json.dumps(r) + "\n").encode() for r in requests)
+        )
+        await writer.drain()
+
+    @staticmethod
+    def window(n=64):
+        return adversarial_trace(seed=5, num_requests=n, disk_chunks=16, chunk_bytes=K)
+
+    @staticmethod
+    def lines(trace):
+        return [
+            {"seq": i + 1, "t": r.t, "video": r.video, "b0": r.b0, "b1": r.b1}
+            for i, r in enumerate(trace)
+        ]
+
+    def test_pipelined_crash_answers_the_rest_as_restarted(self, tmp_path):
+        async def scenario():
+            async with Harness(tmp_path, test_hooks=True) as h:
+                reader, writer = await h.connect()
+                armed = await h.rpc(reader, writer, {"op": "crash-worker"})
+                assert armed["kind"] == "crash-armed"
+                await self.pipeline(writer, [
+                    {"seq": seq, "t": float(seq), "video": seq, "b0": 0,
+                     "b1": K - 1}
+                    for seq in (1, 2, 3)
+                ])
+                # the first line dies with the worker; the restarted
+                # worker finds seq 1 unconsumed, so 2 and 3 are gaps
+                gaps = [await h.read_json(reader) for _ in range(2)]
+                assert [g.get("error") for g in gaps] == ["sequence-gap"] * 2
+                assert [g["seq"] for g in gaps] == [2, 3]
+                response = await h.request(reader, writer, 1, 1.0)
+                assert response["kind"] == "decision" and response["seq"] == 1
+                stats = await h.rpc(reader, writer, {"op": "stats"})
+                assert stats["worker_restarts"] == 1
+                assert stats["watermark"] == 1
+                assert stats["totals"]["requests"] == 1
+                writer.close()
+
+        run(scenario())
+
+    def test_pipelined_crash_mid_batch_keeps_the_run_before_it(self, tmp_path):
+        async def scenario():
+            async with Harness(tmp_path, test_hooks=True) as h:
+                reader, writer = await h.connect()
+                await h.request(reader, writer, 1, 1.0)
+                await h.rpc(reader, writer, {"op": "crash-worker"})
+                await self.pipeline(writer, [
+                    {"seq": 1, "t": 1.0, "video": 1, "b0": 0, "b1": K - 1},
+                    {"seq": 2, "t": 2.0, "video": 2, "b0": 0, "b1": K - 1},
+                    {"seq": 3, "t": 3.0, "video": 3, "b0": 0, "b1": K - 1},
+                    {"seq": 2, "t": 2.0, "video": 2, "b0": 0, "b1": K - 1},
+                ])
+                got = [await h.read_json(reader) for _ in range(3)]
+                assert got[0]["kind"] == "duplicate" and got[0]["seq"] == 1
+                assert got[1]["error"] == "sequence-gap" and got[1]["seq"] == 3
+                assert got[2]["kind"] == "decision" and got[2]["seq"] == 2
+                stats = await h.rpc(reader, writer, {"op": "stats"})
+                assert stats["worker_restarts"] == 1
+                assert stats["watermark"] == 2
+                assert stats["totals"]["requests"] == 2
+                writer.close()
+
+        run(scenario())
+
+    def test_pipelined_walk_failure_answers_as_a_crash(self, tmp_path):
+        async def scenario():
+            async with Harness(tmp_path) as h:
+                service = h.daemon.service
+                entry = service._entry
+
+                def fail_once(block):
+                    service._entry = entry
+                    raise ValueError("walk failed")
+
+                service._entry = fail_once
+                reader, writer = await h.connect()
+                await self.pipeline(writer, [
+                    {"seq": seq, "t": float(seq), "video": seq, "b0": 0,
+                     "b1": K - 1}
+                    for seq in (1, 2, 3)
+                ])
+                # whatever the batch held, the failed run started at seq 1
+                gaps = [await h.read_json(reader) for _ in range(2)]
+                assert [g.get("error") for g in gaps] == ["sequence-gap"] * 2
+                assert [g["seq"] for g in gaps] == [2, 3]
+                response = await h.request(reader, writer, 1, 1.0)
+                assert response["kind"] == "decision" and response["seq"] == 1
+                stats = await h.rpc(reader, writer, {"op": "stats"})
+                assert stats["worker_restarts"] == 1
+                assert stats["watermark"] == 1
+                assert stats["totals"]["requests"] == 1
+                writer.close()
+
+        run(scenario())
+
+    def test_failing_snapshot_loses_no_answer(self, tmp_path):
+        trace = self.window()
+
+        async def scenario():
+            async with Harness(
+                tmp_path, algorithm="xLRU", snapshot_dir=str(tmp_path / "snap"),
+                snapshot_every=8,
+            ) as h:
+                store = h.daemon.service.store
+                save = store.save
+
+                def full_disk(*args, **kw):
+                    store.save = save
+                    raise OSError(28, "No space left on device")
+
+                store.save = full_disk
+                reader, writer = await h.connect()
+                await self.pipeline(writer, self.lines(trace))
+                got = [await h.read_json(reader) for _ in trace]
+                stats = await h.rpc(reader, writer, {"op": "stats"})
+                # the snapshot is still due, and the next batch takes it
+                await h.request(reader, writer, len(trace) + 1, trace[-1].t)
+                later = await h.rpc(reader, writer, {"op": "stats"})
+                writer.close()
+                return h.daemon.config, got, stats, later
+
+        config, got, stats, later = run(scenario())
+        assert [r["seq"] for r in got] == list(range(1, len(trace) + 1))
+        assert all(r["kind"] == "decision" for r in got)
+        assert stats["worker_restarts"] == 1
+        assert stats["snapshots_written"] == 0
+        assert stats["watermark"] == len(trace)
+        assert stats["totals"] == batch_totals(config, trace)
+        assert later["snapshots_written"] == 1
+        assert later["worker_restarts"] == 1
+
+    def test_pipelined_faults_retry_item_by_item(self, tmp_path):
+        trace = self.window()
+        fault_seed = 13
+
+        async def scenario():
+            async with Harness(
+                tmp_path, algorithm="xLRU", test_hooks=True, fault_rate=0.5,
+                fault_seed=fault_seed, max_retries=30, retry_base_delay=1e-5,
+            ) as h:
+                reader, writer = await h.connect()
+                await self.pipeline(writer, self.lines(trace))
+                got = [await h.read_json(reader) for _ in trace]
+                assert [r["seq"] for r in got] == list(range(1, len(trace) + 1))
+                assert all(r["kind"] == "decision" for r in got)
+                stats = await h.rpc(reader, writer, {"op": "stats"})
+                writer.close()
+                return h.daemon.config, stats
+
+        config, stats = run(scenario())
+        assert stats["watermark"] == len(trace)
+        assert stats["totals"] == batch_totals(config, trace)
+        # one draw per attempt per item, in item order, as item by item
+        rng = random.Random(fault_seed)
+        faults = 0
+        for _ in trace:
+            while rng.random() < 0.5:
+                faults += 1
+        assert faults > 0
+        assert stats["counters"]["serve.retries"] == faults
+        assert "serve.decision_failures" not in stats["counters"]
+
+    def test_slo_counts_every_decision_of_a_window(self, tmp_path):
+        trace = self.window()
+
+        async def scenario():
+            async with Harness(tmp_path) as h:
+                reader, writer = await h.connect()
+                await self.pipeline(writer, self.lines(trace))
+                for _ in trace:
+                    await h.read_json(reader)
+                stats = await h.rpc(reader, writer, {"op": "stats"})
+                writer.close()
+                return stats, h.daemon.slo
+
+        stats, slo = run(scenario())
+        assert stats["watermark"] == len(trace)
+        assert stats["slo"]["decisions"] == len(trace)
+        assert stats["registry"]["histograms"]["decision_us"]["count"] == len(trace)
+        assert slo.registry.histograms["decision_us"].count == len(trace)
+
+    @pytest.mark.parametrize("kernels", ["on", "off"])
+    def test_totals_equal_batch_totals(self, tmp_path, monkeypatch, kernels):
+        if kernels == "off":
+            monkeypatch.setenv(NO_KERNELS_ENV, "1")
+        else:
+            monkeypatch.delenv(NO_KERNELS_ENV, raising=False)
+        trace = self.window(200)
+
+        async def scenario():
+            async with Harness(tmp_path, algorithm="xLRU", disk_chunks=16) as h:
+                reader, writer = await h.connect()
+                for lo in range(0, len(trace), 50):
+                    part = self.lines(trace)[lo : lo + 50]
+                    await self.pipeline(writer, part)
+                    for _ in part:
+                        assert (await h.read_json(reader))["kind"] == "decision"
+                stats = await h.rpc(reader, writer, {"op": "stats"})
+                writer.close()
+                return h.daemon, stats
+
+        daemon, stats = run(scenario())
+        reference = VideoCache.handle_span_block_kernel
+        assert (daemon.service._entry.__func__ is reference) == (kernels == "off")
+        assert stats["watermark"] == len(trace)
+        assert stats["totals"] == batch_totals(daemon.config, trace)

@@ -516,6 +516,35 @@ class TestCheckpoint:
         assert "resumed_groups" not in scheduler.last_report.extra
         assert results["x"].totals.num_requests == 200
 
+    def test_version_2_journal_is_not_resumed(
+        self, small_trace, tmp_path, monkeypatch
+    ):
+        """A version-2 record pickles each ``ScoreHeap`` without its
+        anchor index, so its Cafe and LFU-PK caches would fail on their
+        next call: the journal is skipped and every cell recomputed."""
+        trace = small_trace[:300]
+        path = tmp_path / "sweep.ckpt"
+        configs = [
+            RunConfig("Cafe", 64, 1.0, label="c"),
+            RunConfig("LFU-PK", 64, 1.0, label="l"),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(SweepCheckpoint, "VERSION", 2)
+            SweepScheduler(mode="serial", checkpoint=path).run(configs, trace)
+        assert path.exists()
+        scheduler = SweepScheduler(mode="serial", checkpoint=path)
+        recomputed = scheduler.run(configs, trace)
+        assert "resumed_groups" not in scheduler.last_report.extra
+        assert any(
+            e.tag == "checkpoint-foreign-record"
+            for e in scheduler.events.records
+        )
+        fresh = SweepScheduler(mode="serial").run(configs, trace)
+        assert list(recomputed) == list(fresh)
+        for key in fresh:
+            assert recomputed[key].totals == fresh[key].totals
+            assert recomputed[key].steady == fresh[key].steady
+
     def test_env_knob_sets_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "env.ckpt"
         monkeypatch.setenv(CHECKPOINT_ENV, str(path))

@@ -215,7 +215,12 @@ class TestSharedMemoryLifecycle:
 # -- signal-driven exit -------------------------------------------------------
 
 _SIGNAL_CHILD = '''
-"""Child for the SIGTERM leak test: a parallel sweep that never finishes."""
+"""Child for the SIGTERM leak tests: a parallel sweep that never finishes.
+
+argv: checkpoint journal, the file to report the shared segment's name
+in, and ``slow`` to stretch the export's column copy (marked begun by
+a ``.copying`` file beside the report) so the signal lands inside it.
+"""
 import os
 import sys
 import time
@@ -223,6 +228,7 @@ import time
 import repro.sim.schedule as schedule_module
 from repro.sim.runner import RunConfig
 from repro.sim.schedule import SweepScheduler
+from repro.trace.columnar import PackedTrace
 from repro.trace.requests import Request
 
 
@@ -241,7 +247,31 @@ def _stall_execute_group(*args):
 
 schedule_module._execute_group = _stall_execute_group
 
-journal = sys.argv[1]
+journal, report, mode = sys.argv[1], sys.argv[2], sys.argv[3]
+_to_shared = PackedTrace.to_shared
+_column_bytes = PackedTrace._column_bytes
+
+
+def _reporting_to_shared(self, name=None):
+    # the test waits for this one segment, never for another process's
+    with open(report + ".tmp", "w") as fh:
+        fh.write(name)
+    os.replace(report + ".tmp", report)
+    return _to_shared(self, name=name)
+
+
+def _slow_column_bytes(self, column):
+    # the copy has begun: the segment exists and the resource tracker
+    # started by its creation is up
+    open(report + ".copying", "w").close()
+    time.sleep(0.1)
+    return _column_bytes(self, column)
+
+
+PackedTrace.to_shared = _reporting_to_shared
+if mode == "slow":
+    PackedTrace._column_bytes = _slow_column_bytes
+
 requests = [Request(float(i), i % 7, 0, 2) for i in range(400)]
 configs = [
     RunConfig("xLRU", 64, 1.0, label="x"),
@@ -271,6 +301,68 @@ def _live_group_members(pgid: int) -> list:
     return alive
 
 
+def _signal_sweep_child(tmp_path, mode, signum=None):
+    """Start the sweep child and signal it (SIGTERM by default) once its
+    own shared segment exists and, in ``slow`` mode, its column copy has
+    begun; returns ``(exit code, segment name, surviving pids)``, the
+    exit code None if the child outlived 30 s.
+
+    The child runs in its own session, so every process it starts
+    shares its process group.
+    """
+    import signal as signal_module
+    import subprocess
+    import sys as sys_module
+    import time as time_module
+
+    import repro
+
+    script = tmp_path / "sweep_child.py"
+    script.write_text(_SIGNAL_CHILD)
+    journal = tmp_path / "sweep.ckpt"
+    report = tmp_path / "segment"
+    copying = tmp_path / "segment.copying"
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+
+    proc = subprocess.Popen(
+        [sys_module.executable, str(script), str(journal), str(report), mode],
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        segment = None
+        deadline = time_module.monotonic() + 30.0
+        while time_module.monotonic() < deadline:
+            if segment is None and report.exists():
+                segment = report.read_text()
+            shared = segment is not None and os.path.exists(f"/dev/shm/{segment}")
+            if shared and (mode != "slow" or copying.exists()):
+                break
+            assert proc.poll() is None, "sweep child died before sharing"
+            time_module.sleep(0.002)
+        else:
+            raise AssertionError("sweep child never created its segment")
+        proc.send_signal(signal_module.SIGTERM if signum is None else signum)
+        try:
+            code = proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            code = None
+        deadline = time_module.monotonic() + 10.0
+        survivors = _live_group_members(proc.pid)
+        while survivors and time_module.monotonic() < deadline:
+            time_module.sleep(0.05)
+            survivors = _live_group_members(proc.pid)
+    finally:
+        try:
+            os.killpg(proc.pid, signal_module.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    return code, segment, survivors
+
+
 @pytest.mark.skipif(
     not os.path.isdir("/dev/shm") or not os.path.isdir("/proc"),
     reason="needs a POSIX /dev/shm and /proc",
@@ -285,60 +377,49 @@ def test_sigterm_releases_segments_and_exits_cleanly(tmp_path):
     ``128 + SIGTERM``.  An idle worker blocks reading the pool's call
     queue, whose write end it inherited, so without the stop it would
     never see EOF and would keep the unlinked segment mapped forever.
-    The child runs in its own session, so every process it starts
-    shares its process group.
     """
     import signal as signal_module
-    import subprocess
-    import sys as sys_module
-    import time as time_module
 
-    import repro
-
-    script = tmp_path / "sweep_child.py"
-    script.write_text(_SIGNAL_CHILD)
-    journal = tmp_path / "sweep.ckpt"
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-
-    before = set(os.listdir("/dev/shm"))
-    proc = subprocess.Popen(
-        [sys_module.executable, str(script), str(journal)],
-        env=env,
-        start_new_session=True,
-    )
-    try:
-        observed = set()
-        deadline = time_module.monotonic() + 30.0
-        while time_module.monotonic() < deadline:
-            observed = {
-                name
-                for name in set(os.listdir("/dev/shm")) - before
-                if name.startswith("psm_")
-            }
-            if observed:
-                break
-            assert proc.poll() is None, "sweep child died before sharing"
-            time_module.sleep(0.02)
-        assert observed, "sweep child never created a shared trace segment"
-        proc.send_signal(signal_module.SIGTERM)
-        code = proc.wait(timeout=30)
-        deadline = time_module.monotonic() + 10.0
-        survivors = _live_group_members(proc.pid)
-        while survivors and time_module.monotonic() < deadline:
-            time_module.sleep(0.05)
-            survivors = _live_group_members(proc.pid)
-    finally:
-        try:
-            os.killpg(proc.pid, signal_module.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
-
+    code, segment, survivors = _signal_sweep_child(tmp_path, "fast")
     assert code == 128 + signal_module.SIGTERM
-    leftover = observed & set(os.listdir("/dev/shm"))
-    assert leftover == set(), f"leaked shared segments: {sorted(leftover)}"
+    assert not os.path.exists(f"/dev/shm/{segment}"), f"leaked {segment}"
+    assert survivors == [], f"processes outlived the sweep: {survivors}"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm") or not os.path.isdir("/proc"),
+    reason="needs a POSIX /dev/shm and /proc",
+)
+def test_sigterm_inside_the_export_releases_the_segment(tmp_path):
+    """The segment is named, and its name handed to the handler, before
+    it exists: a SIGTERM while its columns are still being copied in
+    finds it by name and unlinks it."""
+    import signal as signal_module
+
+    code, segment, survivors = _signal_sweep_child(tmp_path, "slow")
+    assert code == 128 + signal_module.SIGTERM
+    assert not os.path.exists(f"/dev/shm/{segment}"), f"leaked {segment}"
+    assert survivors == [], f"processes outlived the sweep: {survivors}"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/dev/shm") or not os.path.isdir("/proc"),
+    reason="needs a POSIX /dev/shm and /proc",
+)
+def test_sigint_inside_the_export_stops_the_sweep(tmp_path):
+    """Ctrl-C inside the export: the handler unlinks the segment by name
+    and raises :class:`KeyboardInterrupt`.  The export's own clean-up
+    then finds the segment gone, and must let the interrupt through
+    rather than fail with an error the sweep would survive by pickling
+    its requests instead."""
+    import signal as signal_module
+
+    code, segment, survivors = _signal_sweep_child(
+        tmp_path, "slow", signal_module.SIGINT
+    )
+    # an uncaught KeyboardInterrupt ends the interpreter by SIGINT
+    assert code == -signal_module.SIGINT, f"exit code {code}"
+    assert not os.path.exists(f"/dev/shm/{segment}"), f"leaked {segment}"
     assert survivors == [], f"processes outlived the sweep: {survivors}"
 
 
