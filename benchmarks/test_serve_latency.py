@@ -35,6 +35,9 @@ WINDOW = 512
 FLEET_CLIENTS = 4
 #: worker counts the scaling section attempts (capped by cpu_count)
 FLEET_WORKERS = (1, 2, 4)
+#: per-shard queue bound of every fleet row: room for every request the
+#: clients can have in flight, so a row measures latency, not shedding
+FLEET_QUEUE_LIMIT = FLEET_CLIENTS * WINDOW
 
 
 def _trace(n, seed=29, videos=200):
@@ -218,6 +221,7 @@ def _run_fleet_row(workers, n, tmp_path):
         disk_chunks=2048,
         chunk_bytes=K,
         publish_interval=0.0,
+        queue_limit=FLEET_QUEUE_LIMIT,
     )
     workdir = tmp_path / f"fleet-{workers}"
     workdir.mkdir()
@@ -284,6 +288,7 @@ def test_serve_fleet_scaling(report, strict, scale, tmp_path):
                 "window": WINDOW,
                 "workers": workers,
                 "clients": FLEET_CLIENTS,
+                "queue_limit": FLEET_QUEUE_LIMIT,
                 "algorithm": "xLRU",
                 "disk_chunks": 2048,
                 "latency_ms": slo["latency_ms"],

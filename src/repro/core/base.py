@@ -178,14 +178,17 @@ class VideoCache(ABC):
 
         Hot caches override this with one hoisted walk that binds loop
         invariants — attribute lookups, structure internals — once per
-        block.  On a vectorized view with no telemetry probe attached
-        the walk first applies the cache's numpy screen (admission
-        pre-screens, residency summaries) and skips the per-request
-        work of every request the screen proves; otherwise it runs with
-        every request undecided.  A walk without probe hooks defers
-        here when a probe is attached, since hook order is per-request.
+        block.  On a vectorized view the walk first applies the cache's
+        numpy screen (admission pre-screens, residency summaries) and
+        skips the per-request work of every request the screen proves;
+        otherwise it runs with every request undecided.  A walk whose
+        ``handle_span`` calls telemetry probe hooks calls them inline,
+        behind ``if probe is not None``, at the same points, in the same
+        order and with the same arguments, and skips its screen while a
+        probe is attached if a screened request would skip a hook.
         Overrides MUST be observably identical to this default — same
-        responses, same misses, same end state, request by request.
+        responses, same misses, same end state and the same probe hook
+        calls, request by request.
 
         This default is that reference: :meth:`handle_span` per request
         plus the miss list.  ``REPRO_NO_KERNELS=1`` sends every lane

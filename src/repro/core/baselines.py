@@ -101,9 +101,8 @@ class PullThroughLruCache(VideoCache):
         residency screen.
 
         Observably identical to :meth:`handle_span` element-wise (same
-        probe/touch/evict order).  On a vectorized view with no probe
-        attached, two block-wide classifications come from snapshots
-        taken at block start:
+        probe/touch/evict order).  On a vectorized view two block-wide
+        classifications come from snapshots taken at block start:
 
         * **oversized** spans redirect with zero mutation;
         * spans **fully resident** at block start stay resident until
@@ -115,15 +114,15 @@ class PullThroughLruCache(VideoCache):
           the full walk.
 
         Otherwise only oversized spans are classified up front.
-        ``handle_span`` has no probe hooks, so the walk serves probed
-        caches too.
+        ``handle_span`` calls no probe hooks, so an attached probe
+        changes nothing here: the screen still runs.
         """
         disk_chunks = self.disk_chunks
         disk = self._disk
         entries = disk.raw_entries()
         pop = entries.pop
 
-        if block.vectorized and self.probe is None:
+        if block.vectorized:
             uniq, _order, _starts = block.video_groups()
             arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(entries))
             sizes = block.c1s - block.c0s + 1
@@ -288,9 +287,8 @@ class LfuAdmissionCache(VideoCache):
         internals are bound once per block; membership runs against the
         ScoreHeap's live index dict (read-only — mutations go through
         insert/remove).  Observably identical to :meth:`handle_span`
-        element-wise.  On a vectorized view with no probe attached, a
-        request is *provably* redirected with no per-chunk work when,
-        at block start,
+        element-wise.  On a vectorized view a request is *provably*
+        redirected with no per-chunk work when, at block start,
 
         * it is its video's first in-block occurrence (so no in-block
           hit raised the count),
@@ -303,12 +301,12 @@ class LfuAdmissionCache(VideoCache):
 
         Such requests reduce to the counter bumps plus the interned
         REDIRECT.  Otherwise every request is undecided.
-        ``handle_span`` has no probe hooks, so the walk serves probed
-        caches too.
+        ``handle_span`` calls no probe hooks, so an attached probe
+        changes nothing here: the screen still runs.
         """
         cached = self._cached
         index = cached.raw_index()
-        if block.vectorized and self.probe is None:
+        if block.vectorized:
             uniq, _order, _starts = block.video_groups()
             snap_hits = kernels.snapshot_counts(uniq, self._video_hits)
             arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))

@@ -7,7 +7,9 @@ in :mod:`repro.core.xlru`, :mod:`repro.core.baselines` and
 vectorized view it snapshots the mutable structures once per block,
 classifies as many requests as possible in whole-column numpy passes,
 and the walk skips the per-request work of every screened request;
-without a view (or with a probe attached) every request is undecided.
+without a view every request is undecided, and so is every request of
+a walk whose probe hooks a screened request would skip (xLRU and
+``KernelCache`` with a probe attached).
 This module holds the snapshot/classification primitives the screens
 share:
 

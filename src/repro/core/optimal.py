@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.base import CacheResponse, Decision, VideoCache
 from repro.core.costs import CostModel
@@ -87,6 +85,11 @@ def solve_optimal(
     ``relaxed=True`` solves the LP relaxation (the efficiency upper
     bound); ``relaxed=False`` solves the exact MILP (small scales only).
     """
+    # Imported here, not at module level: scipy is most of the cost of
+    # ``import repro``, and only this solve uses it.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     if not requests:
         raise ValueError("cannot optimize an empty request sequence")
     if disk_chunks <= 0:

@@ -264,17 +264,22 @@ class KernelCache(VideoCache):
         chunk walk mutates nothing).  Screened requests reduce to
         ``on_request`` plus the interned REDIRECT.  Policies without a
         screen skip the residency summary; their requests, like every
-        request of an unvectorized view, are undecided.  The walk has
-        no probe hooks, so with a probe attached the per-request
-        reference runs instead.
+        request of an unvectorized view, are undecided.  With a probe
+        attached the walk calls its hooks inline, at the points, in the
+        order and with the arguments :meth:`handle_span` uses, and skips
+        the screen: a screened request skips ``admit``, so its redirect
+        reason is unknown.
         """
-        if self.probe is not None:
-            return VideoCache.handle_span_block_kernel(self, block)
+        probe = self.probe
         policy = self.policy
         cached = self._cached
         index = cached.raw_index()
         screen = None
-        if block.vectorized and type(policy).screen is not PolicyKernel.screen:
+        if (
+            block.vectorized
+            and probe is None
+            and type(policy).screen is not PolicyKernel.screen
+        ):
             uniq, _order, _starts = block.video_groups()
             arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))
             counts = kernels.span_resident_counts(block, arrays)
@@ -293,6 +298,7 @@ class KernelCache(VideoCache):
         on_evict = policy.on_evict
         disk_chunks = self.disk_chunks
         insert = cached.insert
+        nan = float("nan")
         responses: list = []
         append = responses.append
         misses: list = []
@@ -319,15 +325,22 @@ class KernelCache(VideoCache):
                 else:
                     missing.append(chunk)
             if c1 - c0 + 1 > disk_chunks:
+                if probe is not None:
+                    probe.on_redirect(t, "oversized")
                 append(REDIRECT)
                 miss(i)
                 continue
             n_missing = 0 if missing is None else len(missing)
-            if admit(t, video, c0, c1, n_missing) is not None:
+            reason = admit(t, video, c0, c1, n_missing)
+            if reason is not None:
+                if probe is not None:
+                    probe.on_redirect(t, reason)
                 append(REDIRECT)
                 miss(i)
                 continue
             if missing is None:
+                if probe is not None:
+                    probe.on_serve(t, 0, 0)
                 append(SERVE_HIT)
                 continue
             evicted = 0
@@ -336,9 +349,15 @@ class KernelCache(VideoCache):
                 exclude = {(video, c) for c in range(c0, c1 + 1)}
                 for chunk, _score in cached.pop_n_smallest(need, exclude=exclude):
                     on_evict(chunk)
+                    if probe is not None:
+                        probe.on_evict(t, chunk, nan)
                     evicted += 1
             for chunk in missing:
                 insert(chunk, fill_score(t, chunk[0], chunk[1]))
+                if probe is not None:
+                    probe.on_fill(t, chunk)
+            if probe is not None:
+                probe.on_serve(t, n_missing, evicted)
             append(serve_response(n_missing, evicted))
             miss(i)
         return responses, misses

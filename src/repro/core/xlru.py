@@ -157,12 +157,13 @@ class XlruCache(VideoCache):
         * **oversized** — spans larger than the disk redirect on every
           admission path.
 
-        Without a vectorized view every request is undecided.  The walk
-        has no probe hooks, so with a probe attached the per-request
-        reference runs instead.
+        Without a vectorized view every request is undecided.  With a
+        probe attached the walk calls its hooks inline, at the points,
+        in the order and with the arguments :meth:`handle_span` uses,
+        and skips the screen: a screened request would skip the Eq. 5
+        margin.
         """
-        if self.probe is not None:
-            return VideoCache.handle_span_block_kernel(self, block)
+        probe = self.probe
         alpha = self.cost_model.alpha_f2r
         disk_chunks = self.disk_chunks
         tracker = self._tracker
@@ -172,7 +173,7 @@ class XlruCache(VideoCache):
         dentries = disk.raw_entries()
         dpop = dentries.pop
 
-        if block.vectorized:
+        if block.vectorized and probe is None:
             np = kernels._np
             uniq, _order, _starts = block.video_groups()
             snap = kernels.snapshot_times(uniq, tentries)
@@ -230,6 +231,8 @@ class XlruCache(VideoCache):
                 miss(i)
                 continue
             if last is None:
+                if probe is not None:
+                    probe.on_redirect(t, "never-seen")
                 append(REDIRECT)
                 miss(i)
                 continue
@@ -240,11 +243,17 @@ class XlruCache(VideoCache):
                     head_key = next(iter(dentries))
                     head_t = dentries[head_key]
                 age = t - head_t
+            if probe is not None:
+                probe.on_margin(age - (t - last) * alpha)
             if (t - last) * alpha > age:
+                if probe is not None:
+                    probe.on_redirect(t, "stale")
                 append(REDIRECT)
                 miss(i)
                 continue
             if c1 - c0 + 1 > disk_chunks:
+                if probe is not None:
+                    probe.on_redirect(t, "oversized")
                 append(REDIRECT)
                 miss(i)
                 continue
@@ -261,17 +270,26 @@ class XlruCache(VideoCache):
                     if chunk == head_key:
                         head_key = None
             if missing is None:
+                if probe is not None:
+                    probe.on_serve(t, 0, 0)
                 append(SERVE_HIT)
                 continue
             evicted = len(dentries) + len(missing) - disk_chunks
             if evicted > 0:
                 head_key = None
                 for _ in range(evicted):
-                    del dentries[next(iter(dentries))]
+                    victim = next(iter(dentries))
+                    victim_last = dpop(victim)
+                    if probe is not None:
+                        probe.on_evict(t, victim, victim_last)
             else:
                 evicted = 0
             for chunk in missing:
                 dentries[chunk] = t
+            if probe is not None:
+                for chunk in missing:
+                    probe.on_fill(t, chunk)
+                probe.on_serve(t, len(missing), evicted)
             append(serve_response(len(missing), evicted))
             miss(i)
         self._requests_since_cleanup = since

@@ -588,6 +588,9 @@ class ServeDaemon:
                 {
                     "ok": True,
                     "kind": "stats",
+                    # one decision worker; the router reports its shard
+                    # count under the same key
+                    "workers": 1,
                     "counters": {
                         name: value
                         for name, value in self.slo.registry.counters.items()

@@ -4,12 +4,13 @@ Every block lane — the engine's blocks, the fleet's whole-shard edge
 batches and its leveled upstream buffers — makes one call per block
 into a cache's :meth:`~repro.core.base.VideoCache.handle_span_block_kernel`.
 xLRU, PullLRU, LFU and KernelCache override it with one hoisted walk,
-numpy-screened on a vectorized view with no probe attached; every
-other cache runs the base per-request walk.  The scenario rows below
-drive the entry for every online cache on both views, with and without
-a probe, at four block sizes, and check it against per-request
-``handle_span``: responses, the miss list, end state and behaviour
-afterwards.
+numpy-screened on a vectorized view (xLRU and KernelCache skip the
+screen while a probe is attached, and call the probe hooks inline);
+every other cache runs the base per-request walk.  The scenario rows
+below drive the entry for every online cache on both views, with and
+without a probe, at four block sizes, and check it against per-request
+``handle_span``: responses, the miss list, end state, the probe's hook
+log and behaviour afterwards.
 """
 
 from __future__ import annotations

@@ -5,11 +5,13 @@ xLRU, PullLRU, LFU and KernelCache override
 hoisted walk behind a numpy screen (admission, residency).  The
 contract is observable identity with the per-request reference
 :meth:`~repro.core.base.VideoCache.handle_span_block` — same
-responses, same end state — plus the miss-index contract: ``misses``
+responses, same end state, and with a probe attached the same hook
+calls in the same order — plus the miss-index contract: ``misses``
 is exactly the ascending index list of every response that is not the
 interned ``SERVE_HIT``.  These tests drive the walks over adversarial
 fuzz traces (ties, 1-chunk disks, alpha extremes, oversized spans) and
-over the no-numpy fallback.
+over the no-numpy fallback; a probed walk must never defer to
+``handle_span``.
 
 Satellite audit: the xLRU cleanup-cadence sweep pins the hand-inlined
 tracker cleanup of the batched walks to ``_maybe_cleanup_tracker``
@@ -25,6 +27,8 @@ from repro.sim.runner import build_cache
 from repro.trace.columnar import pack_trace
 from repro.verify.differential import KERNEL_ALGORITHMS, verify_kernel_lane
 from repro.verify.fuzz import FuzzScenario, adversarial_trace
+
+from tests.core.test_block_lane import RecordingProbe
 
 K = 1024
 
@@ -126,29 +130,28 @@ def test_kernel_state_keeps_evolving_identically(algo):
 
 
 @pytest.mark.parametrize("algo", KERNEL_ALGORITHMS)
-def test_kernel_default_fallback_when_probe_attached(algo):
-    """With a probe attached the kernel must take the per-request path."""
-
-    class CountingProbe:
-        def __init__(self):
-            self.events = 0
-
-        def __getattr__(self, name):
-            if name.startswith("on_"):
-                def hook(*args, **kwargs):
-                    self.events += 1
-                return hook
-            raise AttributeError(name)
-
+def test_kernel_default_fallback_when_probe_attached(algo, monkeypatch):
+    """With a probe attached each hoisted walk keeps running: it never
+    calls ``handle_span``, and its hook log equals the per-request
+    reference's, call for call.  Cafe's block entry is that reference,
+    so Cafe is held to the log alone."""
     trace = adversarial_trace(seed=21, num_requests=200, disk_chunks=8)
     packed = pack_trace(trace, chunk_bytes=K)
-    plain = build_cache(algo, 8, chunk_bytes=K)
+    reference = build_cache(algo, 8, chunk_bytes=K)
+    reference.probe = RecordingProbe()
     probed = build_cache(algo, 8, chunk_bytes=K)
-    probed.probe = CountingProbe()
-    want = replay_scalar_blocks(plain, packed, 50)
+    probed.probe = RecordingProbe()
+    if algo != "Cafe":
+        def refuse(*args):
+            raise AssertionError(f"the {algo} walk called handle_span")
+
+        monkeypatch.setattr(probed, "handle_span", refuse)
+    want = replay_scalar_blocks(reference, packed, 50)
     got, misses_ok = replay_kernel(probed, packed, 50)
     assert got == want
     assert misses_ok
+    # repr: KernelCache reports NaN eviction ages, and NaN != NaN
+    assert repr(probed.probe.log) == repr(reference.probe.log)
 
 
 # -- satellite audit: xLRU inlined tracker cleanup cadence ---------------------

@@ -1,7 +1,12 @@
 """Tests for the Optimal Cache IP/LP (Section 7, Eqs. 10-12)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.costs import CostModel
 from repro.core.optimal import OptimalCache, solve_optimal
 from repro.core.psychic import PsychicCache
@@ -167,3 +172,26 @@ class TestOptimalCacheReplay:
         psychic = PsychicCache(2, chunk_bytes=K, cost_model=cost_model)
         psy_eff = replay(psychic, trace).totals.efficiency_chunks
         assert opt_eff >= psy_eff - 1e-9
+
+
+def test_entry_points_import_without_scipy():
+    """Only the solve imports scipy: the CLI, the serving daemon and
+    router, and sweep workers start without paying for it."""
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.serve.daemon, repro.serve.router\n"
+        "import repro.sim.schedule\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,8 @@ packed engine lanes — probes are observers, never participants.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro.sim.engine as engine_module
@@ -23,6 +25,25 @@ DISK = 512
 
 def _caches():
     return {name: factory(DISK) for name, factory in CACHE_FACTORIES.items()}
+
+
+def _probed_registries(trace) -> dict:
+    """Each online lane's probed registry as JSON bytes, timers dropped
+    (wall-clock).  Bytes, not dicts: key order and every sketch's
+    float sum follow the hook order."""
+    caches = {
+        name: factory(64)
+        for name, factory in CACHE_FACTORIES.items()
+        if not factory.offline
+    }
+    telemetry = Telemetry(TelemetryOptions(snapshot_every=0))
+    MultiReplay(caches, telemetry=telemetry).run(trace)
+    out = {}
+    for key, lane in telemetry.lanes.items():
+        registry = lane.registry.to_dict()
+        del registry["timers"]
+        out[key] = json.dumps(registry)
+    return out
 
 
 def _summaries(results):
@@ -49,6 +70,22 @@ class TestProbeParity:
         probed = MultiReplay(_caches(), telemetry=telemetry).run(packed)
         assert _summaries(baseline) == _summaries(probed)
         assert all(r.report.extra["trace_format"] == "packed" for r in probed.values())
+
+    def test_probed_registries_match_across_lanes(self, small_trace, monkeypatch):
+        """Probes observe the same decisions in the same order on every
+        lane: the object lane, the packed lane's hoisted walks over
+        64-request blocks, and the same blocks through the per-request
+        reference (kernels off)."""
+        monkeypatch.setattr(engine_module, "AUTO_PACK_MIN_REQUESTS", 10**9)
+        objects = _probed_registries(small_trace)
+        monkeypatch.setattr(engine_module, "PACKED_BLOCK", 64)
+        packed = pack_trace(small_trace)
+        walked = _probed_registries(packed)
+        monkeypatch.setenv(engine_module.NO_KERNELS_ENV, "1")
+        reference = _probed_registries(packed)
+        assert walked == objects
+        assert reference == objects
+        assert '"evict_age"' in objects["xLRU"]  # the 64-chunk disk churns
 
 
 class TestEngineTelemetry:

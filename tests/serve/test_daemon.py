@@ -101,6 +101,8 @@ class TestRequestResponse:
                     assert response["decision"] in ("serve", "redirect")
 
                 stats = await h.rpc(reader, writer, {"op": "stats"})
+                # the key a router's stats fold reports its shard count in
+                assert stats["workers"] == 1
                 assert stats["watermark"] == 3
                 assert stats["totals"]["requests"] == 3
                 assert stats["slo"]["decisions"] == 3
