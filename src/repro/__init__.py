@@ -31,7 +31,6 @@ from repro.core import (
     CafeCache,
     CostModel,
     Decision,
-    LfuAdmissionCache,
     OptimalCache,
     OptimalSolution,
     PsychicCache,
@@ -66,7 +65,6 @@ __all__ = [
     "OptimalSolution",
     "solve_optimal",
     "PullThroughLruCache",
-    "LfuAdmissionCache",
     "BeladyCache",
     # trace
     "Request",

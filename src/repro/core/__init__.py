@@ -11,7 +11,7 @@ insufficient (:mod:`repro.core.baselines`) and the shared cost model
 """
 
 from repro.core.base import CacheResponse, Decision, VideoCache
-from repro.core.baselines import BeladyCache, LfuAdmissionCache, PullThroughLruCache
+from repro.core.baselines import BeladyCache, PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
 from repro.core.lru_variants import GreedyDualSizeCache, LruKCache
@@ -37,7 +37,6 @@ __all__ = [
     "OptimalSolution",
     "solve_optimal",
     "PullThroughLruCache",
-    "LfuAdmissionCache",
     "BeladyCache",
     "LruKCache",
     "GreedyDualSizeCache",

@@ -9,9 +9,11 @@ implementations make that argument measurable:
 * :class:`PullThroughLruCache` — the standard Web-cache pattern: every
   miss is cache-filled, chunk replacement is LRU.  Its ingress is
   unbounded by design; at ``alpha_F2R > 1`` its efficiency collapses.
-* :class:`LfuAdmissionCache` — frequency-flavoured variant (LFU
-  replacement with periodic aging, admission after a minimum number of
-  video hits), representative of the LFU/LRU-K family of Section 3.
+* ``LFU`` — the frequency-flavoured variant (LFU replacement with
+  periodic aging, admission after a minimum number of video hits),
+  representative of the LFU/LRU-K family of Section 3.  It runs as the
+  :class:`~repro.core.policy.lfu_port.LfuKernelPolicy` on the
+  policy-kernel engine (``repro.core.policy``), not here.
 * :class:`BeladyCache` — Belady's offline optimal *replacement* [5]:
   always serve, evict the chunk requested farthest in the future.  The
   optimal answer to the classic problem, and still not competitive with
@@ -21,8 +23,7 @@ implementations make that argument measurable:
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from itertools import repeat
+from collections import deque
 from typing import Deque, Dict, Optional, Sequence
 
 from repro.core import kernels
@@ -39,7 +40,7 @@ from repro.structures.lru import AccessRecencyList
 from repro.structures.scoreheap import ScoreHeap
 from repro.trace.requests import DEFAULT_CHUNK_BYTES, ChunkId, Request
 
-__all__ = ["PullThroughLruCache", "LfuAdmissionCache", "BeladyCache"]
+__all__ = ["PullThroughLruCache", "BeladyCache"]
 
 _INF = float("inf")
 
@@ -193,217 +194,6 @@ class PullThroughLruCache(VideoCache):
 
     def __len__(self) -> int:
         return len(self._disk)
-
-
-class LfuAdmissionCache(VideoCache):
-    """LFU replacement with hit-count admission and periodic aging.
-
-    Admission: a video qualifies once it has been requested at least
-    ``min_video_hits`` times (first-seen requests are redirected, like
-    xLRU).  Replacement: evict the lowest-frequency chunk; frequencies
-    are halved every ``aging_interval`` handled requests so stale
-    popularity cannot pollute the cache forever (the paper's Section 3
-    critique of frequency-based schemes).
-    """
-
-    name = "LFU"
-    cost_sensitive = False  # admission/aging are frequency-only
-
-    def __init__(
-        self,
-        disk_chunks: int,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        cost_model: CostModel | None = None,
-        min_video_hits: int = 2,
-        aging_interval: int = 10_000,
-    ) -> None:
-        super().__init__(disk_chunks, chunk_bytes, cost_model)
-        if min_video_hits < 1:
-            raise ValueError(f"min_video_hits must be >= 1, got {min_video_hits}")
-        if aging_interval < 1:
-            raise ValueError(f"aging_interval must be >= 1, got {aging_interval}")
-        self.min_video_hits = min_video_hits
-        self.aging_interval = aging_interval
-        self._video_hits: Counter = Counter()
-        self._freq: Dict[ChunkId, float] = {}
-        self._cached: ScoreHeap[ChunkId] = ScoreHeap()
-        self._handled = 0
-
-    def handle(self, request: Request) -> CacheResponse:
-        k = self.chunk_bytes
-        return self.handle_span(
-            request.t,
-            request.video,
-            request.b0,
-            request.b1,
-            request.b0 // k,
-            request.b1 // k,
-        )
-
-    def handle_span(
-        self, t: float, video: int, b0: int, b1: int, c0: int, c1: int
-    ) -> CacheResponse:
-        self._handled += 1
-        if self._handled % self.aging_interval == 0:
-            self._age()
-        self._video_hits[video] += 1
-        cached = self._cached
-        freq = self._freq
-        missing = []
-        for c in range(c0, c1 + 1):
-            chunk = (video, c)
-            if chunk in cached:
-                score = freq.get(chunk, 0.0) + 1.0
-                freq[chunk] = score
-                cached.insert(chunk, score)
-            else:
-                missing.append(chunk)
-
-        if c1 - c0 + 1 > self.disk_chunks:
-            return REDIRECT
-        if self._video_hits[video] < self.min_video_hits:
-            return REDIRECT
-
-        if not missing:
-            return SERVE_HIT
-        evicted = 0
-        free = self.disk_chunks - len(cached)
-        need = len(missing) - free
-        if need > 0:
-            exclude = {(video, c) for c in range(c0, c1 + 1)}
-            for chunk, _score in cached.pop_n_smallest(need, exclude=exclude):
-                freq.pop(chunk, None)
-                evicted += 1
-        for chunk in missing:
-            score = freq.get(chunk, 0.0) + 1.0
-            freq[chunk] = score
-            cached.insert(chunk, score)
-        return serve_response(len(missing), evicted)
-
-    def handle_span_block_kernel(self, block) -> "tuple[list, list]":
-        """Hoisted block walk behind an unproven-video screen.
-
-        The aging cadence, hit counter, frequency dict and frequency-set
-        internals are bound once per block; membership runs against the
-        ScoreHeap's live index dict (read-only — mutations go through
-        insert/remove).  Observably identical to :meth:`handle_span`
-        element-wise.  On a vectorized view a request is *provably*
-        redirected with no per-chunk work when, at block start,
-
-        * it is its video's first in-block occurrence (so no in-block
-          hit raised the count),
-        * the video's snapshot hit count ``s`` satisfies ``s + 1 <
-          min_video_hits`` (aging only lowers counts, so the live test
-          fails a fortiori), and
-        * none of its span is resident (evictions only shrink a video's
-          resident set, and its own fills can only happen at *later*
-          occurrences), so the per-chunk re-key walk would do nothing.
-
-        Such requests reduce to the counter bumps plus the interned
-        REDIRECT.  Otherwise every request is undecided.
-        ``handle_span`` calls no probe hooks, so an attached probe
-        changes nothing here: the screen still runs.
-        """
-        cached = self._cached
-        index = cached.raw_index()
-        if block.vectorized:
-            uniq, _order, _starts = block.video_groups()
-            snap_hits = kernels.snapshot_counts(uniq, self._video_hits)
-            arrays = kernels.residency_arrays(uniq, kernels.chunks_by_video(index))
-            counts = kernels.span_resident_counts(block, arrays)
-            inv = block.video_inverse()
-            screen = (
-                block.first_occurrence()
-                & (snap_hits[inv] + 1 < self.min_video_hits)
-                & (counts == 0)
-            ).tolist()
-        else:
-            screen = repeat(False)
-
-        disk_chunks = self.disk_chunks
-        min_hits = self.min_video_hits
-        aging_interval = self.aging_interval
-        handled = self._handled
-        video_hits = self._video_hits
-        insert = cached.insert
-        freq = self._freq
-        get_freq = freq.get
-        responses: list = []
-        append = responses.append
-        misses: list = []
-        miss = misses.append
-        i = -1
-        for t, video, c0, c1, scr in zip(
-            block.ts_l, block.videos_l, block.c0s_l, block.c1s_l, screen
-        ):
-            i += 1
-            handled += 1
-            if handled % aging_interval == 0:
-                self._handled = handled
-                self._age()
-            video_hits[video] += 1
-            if scr:
-                append(REDIRECT)
-                miss(i)
-                continue
-            missing = None
-            for c in range(c0, c1 + 1):
-                chunk = (video, c)
-                if chunk in index:
-                    score = get_freq(chunk, 0.0) + 1.0
-                    freq[chunk] = score
-                    insert(chunk, score)
-                elif missing is None:
-                    missing = [chunk]
-                else:
-                    missing.append(chunk)
-            if c1 - c0 + 1 > disk_chunks:
-                append(REDIRECT)
-                miss(i)
-                continue
-            if video_hits[video] < min_hits:
-                append(REDIRECT)
-                miss(i)
-                continue
-            if missing is None:
-                append(SERVE_HIT)
-                continue
-            evicted = 0
-            need = len(missing) - (disk_chunks - len(index))
-            if need > 0:
-                exclude = {(video, c) for c in range(c0, c1 + 1)}
-                for chunk, _score in cached.pop_n_smallest(need, exclude=exclude):
-                    freq.pop(chunk, None)
-                    evicted += 1
-            for chunk in missing:
-                score = get_freq(chunk, 0.0) + 1.0
-                freq[chunk] = score
-                insert(chunk, score)
-            append(serve_response(len(missing), evicted))
-            miss(i)
-        self._handled = handled
-        return responses, misses
-
-    def __contains__(self, chunk: ChunkId) -> bool:
-        return chunk in self._cached
-
-    def __len__(self) -> int:
-        return len(self._cached)
-
-    def _age(self) -> None:
-        """Halve all frequencies and re-key the cached set.
-
-        Re-keying keeps tree scores equal to the live frequencies, so a
-        freshly incremented chunk compares correctly against aged ones.
-        """
-        for chunk in list(self._freq):
-            self._freq[chunk] /= 2.0
-            if chunk in self._cached:
-                self._cached.insert(chunk, self._freq[chunk])
-        for video in list(self._video_hits):
-            self._video_hits[video] //= 2
-            if self._video_hits[video] == 0:
-                del self._video_hits[video]
 
 
 class BeladyCache(VideoCache):

@@ -11,13 +11,14 @@ the policy into ``CACHE_FACTORIES``, ``ORACLE_FACTORIES``,
 
 Built-in policies:
 
-* ``LFU-PK`` — the LFU baseline ported byte-identically (its oracle is
-  the hand-written :class:`~repro.core.baselines.LfuAdmissionCache`);
+* ``LFU-PK`` — the LFU baseline, the one production LFU: ``LFU`` in
+  ``CACHE_FACTORIES`` is this policy under the baseline's name, and the
+  hand-written :class:`~repro.verify.oracles.OracleLfu` is the oracle
+  of both names;
 * ``Retention`` — retention-aware chunk caching (arXiv:1512.03274);
 * ``qLRU`` — tunable insertion-position LRU (arXiv:1806.10853).
 """
 
-from repro.core.baselines import LfuAdmissionCache
 from repro.core.policy.kernel import KernelCache, OracleKernelCache, PolicyKernel
 from repro.core.policy.lfu_port import LfuKernelPolicy
 from repro.core.policy.qlru import TunableLruPolicy
@@ -25,6 +26,7 @@ from repro.core.policy.registry import (
     POLICY_REGISTRY,
     PolicySpec,
     cache_factories,
+    cache_factory,
     kernel_algorithm_names,
     oracle_factories,
     policy_for,
@@ -41,6 +43,7 @@ __all__ = [
     "POLICY_REGISTRY",
     "register_policy",
     "policy_for",
+    "cache_factory",
     "cache_factories",
     "oracle_factories",
     "kernel_algorithm_names",
@@ -50,12 +53,7 @@ __all__ = [
     "TunableLruPolicy",
 ]
 
-# The LFU port is differentially verified against the hand-written
-# production cache itself — the strongest byte-identity pin available.
-register_policy(
-    PolicySpec(name="LFU-PK", kind="lfu", policy_cls=LfuKernelPolicy,
-               oracle=LfuAdmissionCache)
-)
+register_policy(PolicySpec(name="LFU-PK", kind="lfu", policy_cls=LfuKernelPolicy))
 register_policy(
     PolicySpec(name="Retention", kind="retention", policy_cls=RetentionAwarePolicy)
 )

@@ -16,9 +16,9 @@ any conforming policy into
   idiom of :mod:`repro.verify.oracles`.
 
 Both engines drive the policy through one fixed pipeline per request
-(mirroring :class:`~repro.core.baselines.LfuAdmissionCache`, the ported
-proof that the pipeline is expressive enough to be byte-identical to a
-hand-written cache):
+(the pipeline of the hand-fused LFU cache this engine replaced; the
+``LFU-PK`` port was byte-identical to it, and it is pinned now against
+the hand-written :class:`~repro.verify.oracles.OracleLfu`):
 
 1. ``on_request`` — per-request bookkeeping (counters, aging);
 2. chunk walk — resident chunks may be re-scored via ``rescore_hit``,

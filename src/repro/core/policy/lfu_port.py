@@ -1,19 +1,16 @@
-"""The LFU baseline ported onto the policy-kernel protocol.
+"""The LFU baseline on the policy-kernel protocol.
 
-This is the proof obligation for the protocol: the exact admission,
-aging, scoring and eviction semantics of
-:class:`~repro.core.baselines.LfuAdmissionCache` expressed as a
-:class:`~repro.core.policy.kernel.PolicyKernel`.  The registry pins the
-port against the hand-written cache itself (it serves as the
-differential oracle for ``LFU-PK``), so the fuzz matrix enforces
-byte-identity on the object lane, the packed lane, and the vectorized
-kernel lane — if the adapter pipeline drifted from the hand-written
-pipeline in any observable way, ``repro-verify`` would shrink a
-counterexample.
-
-Kept distinct from the stock ``LFU`` registry entry (same semantics,
-different engine) so both implementations stay in the matrices and keep
-checking each other.
+LFU replacement with periodic aging and hit-count admission (the
+paper's Section 3 frequency family), expressed as a
+:class:`~repro.core.policy.kernel.PolicyKernel`.  This is the one
+production LFU: ``CACHE_FACTORIES`` serves it as ``LFU-PK`` and, under
+the baseline's name, as ``LFU``.  It was ported byte-identically from
+a hand-fused LFU cache, which it replaced; a legacy ``lfu`` snapshot
+of that cache loads into it (:mod:`repro.core.snapshot`).  The
+hand-written :class:`~repro.verify.oracles.OracleLfu` is the
+differential oracle of both names, so the fuzz matrix enforces
+byte-identity on the object lane, the packed lane and the vectorized
+kernel lane against code that shares nothing with the engine.
 """
 
 from __future__ import annotations
@@ -29,8 +26,15 @@ __all__ = ["LfuKernelPolicy"]
 
 
 class LfuKernelPolicy(PolicyKernel):
-    """LFU replacement, hit-count admission, periodic aging — the
-    :class:`~repro.core.baselines.LfuAdmissionCache` semantics."""
+    """LFU replacement with hit-count admission and periodic aging.
+
+    Admission: a video qualifies once it has been requested at least
+    ``min_video_hits`` times (first-seen requests are redirected, like
+    xLRU).  Replacement: evict the lowest-frequency chunk; frequencies
+    are halved every ``aging_interval`` handled requests so stale
+    popularity cannot pollute the cache forever (the paper's Section 3
+    critique of frequency-based schemes).
+    """
 
     kind = "lfu"
     name = "LFU-PK"
@@ -79,7 +83,7 @@ class LfuKernelPolicy(PolicyKernel):
     def _age(self) -> None:
         """Halve all frequencies and re-key the cached set (in ``_freq``
         admission order, consuming one heap sequence number per resident
-        chunk — exactly like the hand-written aging pass)."""
+        chunk — exactly like ``OracleLfu``'s aging pass)."""
         for chunk in list(self._freq):
             self._freq[chunk] /= 2.0
             self.cache.rekey(chunk, self._freq[chunk])

@@ -7,12 +7,14 @@ manufactures:
 * a cache factory (``cache_factories()``) merged into
   :data:`repro.sim.runner.CACHE_FACTORIES` — object lane, packed lane
   and the vectorized kernel lane all come from
-  :class:`~repro.core.policy.kernel.KernelCache`;
+  :class:`~repro.core.policy.kernel.KernelCache`; ``cache_factory``
+  also serves a policy under another algorithm name (``LFU`` is the
+  ``LFU-PK`` policy under the baseline's name);
 * a reference-oracle factory (``oracle_factories()``) merged into
-  :data:`repro.verify.oracles.ORACLE_FACTORIES` — either an explicit
-  hand-written oracle (the LFU port pins itself against the production
-  :class:`~repro.core.baselines.LfuAdmissionCache`) or the auto-derived
-  :class:`~repro.core.policy.kernel.OracleKernelCache`;
+  :data:`repro.verify.oracles.ORACLE_FACTORIES` — the auto-derived
+  :class:`~repro.core.policy.kernel.OracleKernelCache`, which
+  ``repro.verify.oracles`` replaces with a hand-written oracle where
+  one exists (``OracleLfu`` for ``LFU-PK``);
 * kernel-lane names (``kernel_algorithm_names()``) merged into
   :data:`repro.verify.differential.KERNEL_ALGORITHMS` so the
   kernels-on/off equivalence matrix covers every policy;
@@ -27,6 +29,7 @@ plus a :func:`register_policy` call.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Type
 
@@ -39,6 +42,7 @@ __all__ = [
     "POLICY_REGISTRY",
     "register_policy",
     "policy_for",
+    "cache_factory",
     "cache_factories",
     "oracle_factories",
     "kernel_algorithm_names",
@@ -48,16 +52,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """One registered policy: its class plus verification wiring."""
+    """One registered policy: its names and its class."""
 
     #: algorithm name (key in CACHE_FACTORIES / ORACLE_FACTORIES)
     name: str
     #: snapshot kind slug (persisted as ``policy:<kind>``)
     kind: str
     policy_cls: Type[PolicyKernel]
-    #: hand-written oracle factory with the ``build_oracle`` calling
-    #: convention; None derives an OracleKernelCache automatically
-    oracle: Optional[Callable] = None
 
 
 #: name -> spec for every registered policy
@@ -91,14 +92,22 @@ def policy_for(name: str, **kwargs) -> PolicyKernel:
 class _PolicyCacheFactory:
     """Callable factory with the CACHE_FACTORIES attribute contract
     (``offline``/``cost_sensitive`` are read off factory *values* by the
-    scheduler and the equivalence suite)."""
+    scheduler and the equivalence suite).  Its caches carry ``name``;
+    its signature lists the engine's parameters, then the policy's
+    keyword knobs."""
 
     offline = False
 
-    def __init__(self, spec: PolicySpec) -> None:
+    def __init__(self, spec: PolicySpec, name: str) -> None:
         self.spec = spec
+        self.name = name
         self.cost_sensitive = spec.policy_cls.cost_sensitive
-        self.__name__ = f"policy:{spec.name}"
+        self.__name__ = f"policy:{name}"
+        engine = list(inspect.signature(self.__call__).parameters.values())[:-1]
+        knobs = inspect.signature(spec.policy_cls).parameters.values()
+        self.__signature__ = inspect.Signature(
+            engine + [p.replace(kind=p.KEYWORD_ONLY) for p in knobs]
+        )
 
     def __call__(
         self,
@@ -107,12 +116,14 @@ class _PolicyCacheFactory:
         cost_model: CostModel | None = None,
         **kwargs,
     ) -> KernelCache:
-        return KernelCache(
+        cache = KernelCache(
             self.spec.policy_cls(**kwargs),
             disk_chunks,
             chunk_bytes=chunk_bytes,
             cost_model=cost_model,
         )
+        cache.name = self.name
+        return cache
 
 
 class _PolicyOracleFactory:
@@ -140,38 +151,20 @@ class _PolicyOracleFactory:
         )
 
 
-class _ExplicitOracleFactory:
-    """Wrap a hand-written oracle class, renaming its instances to the
-    ``oracle:<policy name>`` convention the oracle test suite pins."""
-
-    cost_sensitive = False
-
-    def __init__(self, spec: PolicySpec) -> None:
-        self.spec = spec
-        self.cost_sensitive = spec.policy_cls.cost_sensitive
-        self.__name__ = f"oracle:{spec.name}"
-
-    def __call__(self, *args, **kwargs):
-        oracle = self.spec.oracle(*args, **kwargs)
-        oracle.name = f"oracle:{self.spec.name}"
-        return oracle
+def cache_factory(policy: str, name: Optional[str] = None) -> Callable:
+    """KernelCache factory for registered ``policy``; its caches carry
+    ``name`` (default: the policy's own name)."""
+    return _PolicyCacheFactory(POLICY_REGISTRY[policy], name or policy)
 
 
 def cache_factories() -> Dict[str, Callable]:
     """name -> KernelCache factory for every registered policy."""
-    return {name: _PolicyCacheFactory(spec) for name, spec in POLICY_REGISTRY.items()}
+    return {name: cache_factory(name) for name in POLICY_REGISTRY}
 
 
 def oracle_factories() -> Dict[str, Callable]:
-    """name -> oracle factory (explicit oracle or auto-derived)."""
-    return {
-        name: (
-            _ExplicitOracleFactory(spec)
-            if spec.oracle is not None
-            else _PolicyOracleFactory(spec)
-        )
-        for name, spec in POLICY_REGISTRY.items()
-    }
+    """name -> auto-derived oracle factory for every registered policy."""
+    return {name: _PolicyOracleFactory(spec) for name, spec in POLICY_REGISTRY.items()}
 
 
 def kernel_algorithm_names() -> tuple:

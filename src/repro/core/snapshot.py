@@ -11,14 +11,19 @@ the online caches to plain JSON-able dicts:
   chunk set, and the ghost list;
 * **PullLRU** — the disk recency list (the whole state of a
   fetch-on-miss LRU);
-* **LFU** — video hit counters, chunk frequencies, the cached set in
-  eviction order, and the aging cursor.
+* **policy kernels** (``policy:<kind>``, LFU among them) — the
+  policy's own state plus the cached set with its scores.
 
 Restores are *logically* exact: every lookup, IAT, key and admission
-decision matches the original state.  Heap-ordered sets (Cafe, LFU)
-are persisted in ascending ``(score, seq)`` order and reinserted in
-that order, so the relative eviction order among equal-scored chunks
-survives the round trip even though internal sequence numbers restart.
+decision matches the original state.  Heap-ordered sets (Cafe, policy
+kernels) are persisted in ascending ``(score, seq)`` order and
+reinserted in that order, so the relative eviction order among
+equal-scored chunks survives the round trip even though internal
+sequence numbers restart.
+
+The kind ``lfu`` was written by the retired hand-fused LFU cache; it
+is no longer written, and :func:`load_state_dict` converts it into a
+``policy:lfu`` snapshot, which is the same state in the policy's form.
 
 Supported cache types register in :data:`SNAPSHOT_KINDS`; asking for
 any other type raises a ``TypeError`` naming both the supported set
@@ -31,9 +36,9 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, Tuple, Type, Union
+from typing import Dict, Type, Union
 
-from repro.core.baselines import LfuAdmissionCache, PullThroughLruCache
+from repro.core.baselines import PullThroughLruCache
 from repro.core.base import VideoCache
 from repro.core.cafe import CafeCache
 from repro.core.policy import POLICY_REGISTRY, KernelCache
@@ -57,7 +62,6 @@ SNAPSHOT_KINDS: Dict[str, Type[VideoCache]] = {
     "xlru": XlruCache,
     "cafe": CafeCache,
     "pull-lru": PullThroughLruCache,
-    "lfu": LfuAdmissionCache,
 }
 # Every registered policy kernel snapshots through the generic
 # KernelCache dumper/loader under the kind tag ``policy:<kind>``.
@@ -120,10 +124,12 @@ def load_state_dict(cache: VideoCache, state: dict) -> None:
 
     The target must match the snapshot's geometry (disk size, chunk
     size); the cost model may differ — operators retune alpha across
-    restarts.
+    restarts.  A legacy ``lfu`` snapshot loads as ``policy:lfu``.
     """
     if state.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot version {state.get('version')!r}")
+    if state.get("kind") == "lfu":
+        state = _legacy_lfu_as_policy(state)
     expected = snapshot_kind(cache)
     if state.get("kind") != expected:
         raise ValueError(
@@ -190,22 +196,6 @@ def _dump_pull_lru(cache: PullThroughLruCache) -> dict:
     }
 
 
-def _dump_lfu(cache: LfuAdmissionCache) -> dict:
-    # ``cached`` is persisted in ascending (score, seq) order; the
-    # loader reinserts in that order, which preserves the relative
-    # eviction order among equal-frequency chunks.  Frequencies are
-    # dyadic (increments of 1.0, halved by aging), so the JSON float
-    # round-trip is exact.
-    return {
-        "min_video_hits": cache.min_video_hits,
-        "aging_interval": cache.aging_interval,
-        "handled": cache._handled,
-        "video_hits": [[video, hits] for video, hits in cache._video_hits.items()],
-        "freq": [[v, c, score] for (v, c), score in cache._freq.items()],
-        "cached": [[v, c] for (v, c), _ in cache._cached.items_ascending()],
-    }
-
-
 def _load_xlru(cache: XlruCache, state: dict) -> None:
     from repro.structures.lru import AccessRecencyList
 
@@ -263,38 +253,29 @@ def _load_pull_lru(cache: PullThroughLruCache, state: dict) -> None:
     cache._disk = disk
 
 
-def _load_lfu(cache: LfuAdmissionCache, state: dict) -> None:
-    from collections import Counter
+def _legacy_lfu_as_policy(state: dict) -> dict:
+    """A legacy ``lfu`` snapshot as the ``policy:lfu`` one it equals.
 
-    from repro.structures.scoreheap import ScoreHeap
-
-    if (
-        int(state["min_video_hits"]) != cache.min_video_hits
-        or int(state["aging_interval"]) != cache.aging_interval
-    ):
-        raise ValueError(
-            "snapshot admission/aging mismatch: snapshot "
-            f"(min_video_hits={state['min_video_hits']}, "
-            f"aging_interval={state['aging_interval']}) vs cache "
-            f"({cache.min_video_hits}, {cache.aging_interval})"
-        )
-    freq: Dict[Tuple[int, int], float] = {
-        (int(v), int(c)): float(score) for v, c, score in state["freq"]
-    }
-    cached: ScoreHeap = ScoreHeap()
+    ``handled``, ``video_hits`` and ``freq`` are the policy's state;
+    each chunk of ``cached`` keeps its stored ascending order and takes
+    its frequency as its score, which is the key the hand-fused cache
+    held it under.
+    """
+    freq = {(v, c): score for v, c, score in state["freq"]}
+    cached = []
     for v, c in state["cached"]:
-        chunk = (int(v), int(c))
-        if chunk not in freq:
-            raise ValueError(f"cached chunk {chunk} missing frequency state")
-        cached.insert(chunk, freq[chunk])
-    if len(cached) > cache.disk_chunks:
-        raise ValueError("snapshot holds more chunks than the disk fits")
-    cache._video_hits = Counter(
-        {int(video): int(hits) for video, hits in state["video_hits"]}
-    )
-    cache._freq = freq
-    cache._cached = cached
-    cache._handled = int(state["handled"])
+        if (v, c) not in freq:
+            raise ValueError(f"cached chunk {(v, c)} missing frequency state")
+        cached.append([v, c, freq[(v, c)]])
+    header = ("version", "disk_chunks", "chunk_bytes", "alpha_f2r")
+    policy = ("min_video_hits", "aging_interval", "handled", "video_hits", "freq")
+    return {
+        **{key: state[key] for key in header},
+        "kind": "policy:lfu",
+        "policy": "lfu",
+        "policy_state": {key: state[key] for key in policy},
+        "cached": cached,
+    }
 
 
 def _dump_policy(cache: KernelCache) -> dict:
@@ -334,7 +315,6 @@ _DUMPERS = {
     "xlru": _dump_xlru,
     "cafe": _dump_cafe,
     "pull-lru": _dump_pull_lru,
-    "lfu": _dump_lfu,
 }
 _DUMPERS.update({tag: _dump_policy for tag in _policy_snapshot_kinds()})
 
@@ -342,6 +322,5 @@ _LOADERS = {
     "xlru": _load_xlru,
     "cafe": _load_cafe,
     "pull-lru": _load_pull_lru,
-    "lfu": _load_lfu,
 }
 _LOADERS.update({tag: _load_policy for tag in _policy_snapshot_kinds()})

@@ -138,12 +138,24 @@ def render_single(telemetry_file: TelemetryFile) -> str:
     return "\n\n".join(sections)
 
 
+def _column_names(files: List[TelemetryFile]) -> List[str]:
+    """One distinct name per file: its label, with ``#<position>``
+    (1-based) appended when another file carries the same label."""
+    labels = [telemetry_file.label for telemetry_file in files]
+    return [
+        f"{label} #{i}" if labels.count(label) > 1 else label
+        for i, label in enumerate(labels, start=1)
+    ]
+
+
 def compare_runs(files: List[TelemetryFile]) -> dict:
     """Align lanes across ``files``; baseline is the first file.
 
     Returns ``{"files": [...], "lanes": {key: {"metrics": [per-file
     dict|None], "deltas": {metric: candidate - baseline}}}}`` where
-    deltas compare the *last* file against the baseline.
+    deltas compare the *last* file against the baseline.  ``files``
+    names each file by its label, made distinct by position when two
+    files share one.
     """
     keys: List[str] = []
     for telemetry_file in files:
@@ -169,10 +181,7 @@ def compare_runs(files: List[TelemetryFile]) -> dict:
                 ):
                     deltas[metric] = c - b
         lanes[key] = {"metrics": per_file, "deltas": deltas}
-    return {
-        "files": [telemetry_file.label for telemetry_file in files],
-        "lanes": lanes,
-    }
+    return {"files": _column_names(files), "lanes": lanes}
 
 
 def render_comparison(files: List[TelemetryFile]) -> str:

@@ -21,7 +21,7 @@ from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.sim.runner import CACHE_FACTORIES
 from repro.trace.requests import DEFAULT_CHUNK_BYTES
 
-__all__ = ["main"]
+__all__ = ["config_flags", "main"]
 
 
 def _parse_tcp(value: str) -> Tuple[str, int]:
@@ -33,35 +33,38 @@ def _parse_tcp(value: str) -> Tuple[str, int]:
     return host, int(port)
 
 
-def _worker_passthrough(args: argparse.Namespace) -> List[str]:
-    """The argv tail every fleet worker shares (decision knobs only).
+def config_flags(config: ServeConfig) -> List[str]:
+    """The ``repro-serve`` flags that carry ``config``'s decision knobs.
 
-    Endpoints, snapshot dirs and telemetry paths are *derived* per
-    shard by the fleet, never passed through.  ``--rate`` and
-    ``--queue-limit`` are deliberately per-shard: each worker owns its
-    own token bucket and bounded queue (DESIGN.md §14).
+    The one mapping from :class:`~repro.serve.daemon.ServeConfig` to
+    argv: the soak harnesses and the fleet's workers all build their
+    command lines from it.  Endpoints, snapshot dirs, telemetry paths
+    and shard coordinates are the caller's to add (a fleet derives them
+    per shard).  ``--rate`` and ``--queue-limit`` are per-shard: each
+    fleet worker owns its own token bucket and bounded queue
+    (DESIGN.md §14).
     """
-    passthrough = [
-        "--algorithm", args.algorithm,
-        "--disk-chunks", str(args.disk_chunks),
-        "--chunk-bytes", str(args.chunk_bytes),
-        "--alpha", str(args.alpha),
-        "--rate", str(args.rate),
-        "--burst", str(args.burst),
-        "--queue-limit", str(args.queue_limit),
-        "--snapshot-every", str(args.snapshot_every),
-        "--snapshot-keep", str(args.snapshot_keep),
-        "--request-timeout", str(args.request_timeout),
-        "--max-retries", str(args.max_retries),
-        "--publish-interval", str(args.publish_interval),
+    flags = [
+        "--algorithm", config.algorithm,
+        "--disk-chunks", str(config.disk_chunks),
+        "--chunk-bytes", str(config.chunk_bytes),
+        "--alpha", str(config.alpha_f2r),
+        "--rate", str(config.rate),
+        "--burst", str(config.burst),
+        "--queue-limit", str(config.queue_limit),
+        "--snapshot-every", str(config.snapshot_every),
+        "--snapshot-keep", str(config.snapshot_keep),
+        "--request-timeout", str(config.request_timeout),
+        "--max-retries", str(config.max_retries),
+        "--publish-interval", str(config.publish_interval),
     ]
-    if args.test_hooks:
-        passthrough.append("--test-hooks")
-    if args.fault_rate > 0:
-        passthrough += ["--fault-rate", str(args.fault_rate)]
-    if args.fault_seed:
-        passthrough += ["--fault-seed", str(args.fault_seed)]
-    return passthrough
+    if config.test_hooks:
+        flags.append("--test-hooks")
+    if config.fault_rate > 0:
+        flags += ["--fault-rate", str(config.fault_rate)]
+    if config.fault_seed:
+        flags += ["--fault-seed", str(config.fault_seed)]
+    return flags
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -180,30 +183,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--shard and --num-shards go together")
     if args.shard is not None and args.workers > 1:
         parser.error("--shard is a worker-mode flag; it excludes --workers")
-
-    if args.workers > 1:
-        if args.stdin:
-            parser.error("--stdin needs --workers 1 (one loop, one pipe)")
-        from repro.obs.events import EventLog
-        from repro.serve.fleet import FleetConfig, ServeFleet
-
-        fleet = ServeFleet(
-            FleetConfig(
-                workers=args.workers,
-                socket=args.socket,
-                tcp=args.tcp,
-                run_dir=args.run_dir,
-                num_buckets=args.num_buckets,
-                snapshot_dir=args.snapshot_dir,
-                telemetry_path=args.telemetry,
-                pidfile=args.pidfile,
-                worker_args=tuple(_worker_passthrough(args)),
-                echo_events=args.echo_events,
-            ),
-            events=EventLog(echo=args.echo_events),
-        )
-        return fleet.run()
-
     config = ServeConfig(
         algorithm=args.algorithm,
         disk_chunks=args.disk_chunks,
@@ -226,6 +205,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         num_shards=args.num_shards if args.num_shards is not None else 1,
         num_buckets=args.num_buckets,
     )
+
+    if args.workers > 1:
+        if args.stdin:
+            parser.error("--stdin needs --workers 1 (one loop, one pipe)")
+        from repro.obs.events import EventLog
+        from repro.serve.fleet import FleetConfig, ServeFleet
+
+        fleet = ServeFleet(
+            FleetConfig(
+                workers=args.workers,
+                socket=args.socket,
+                tcp=args.tcp,
+                run_dir=args.run_dir,
+                num_buckets=args.num_buckets,
+                snapshot_dir=args.snapshot_dir,
+                telemetry_path=args.telemetry,
+                pidfile=args.pidfile,
+                worker_args=tuple(config_flags(config)),
+                echo_events=args.echo_events,
+            ),
+            events=EventLog(echo=args.echo_events),
+        )
+        return fleet.run()
 
     from repro.obs.events import EventLog
 

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.cdn.faults import FaultEvent, FaultSchedule
 from repro.cdn.sharding import DEFAULT_NUM_BUCKETS, shard_of
+from repro.serve.cli import config_flags
 from repro.serve.client import ServeClient, connect_with_retry
 from repro.serve.daemon import ServeConfig
 from repro.serve.protocol import decide_block, new_totals
@@ -176,36 +177,12 @@ class DaemonProcess:
         self.starts = 0
 
     def args(self) -> List[str]:
-        config = self.config
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.serve.cli",
-            "--socket",
-            self.socket_path,
-            "--algorithm",
-            config.algorithm,
-            "--disk-chunks",
-            str(config.disk_chunks),
-            "--chunk-bytes",
-            str(config.chunk_bytes),
-            "--alpha",
-            str(config.alpha_f2r),
-            "--rate",
-            str(config.rate),
-            "--queue-limit",
-            str(config.queue_limit),
-            "--snapshot-every",
-            str(config.snapshot_every),
-            "--publish-interval",
-            str(config.publish_interval),
-        ]
-        if config.snapshot_dir:
-            argv += ["--snapshot-dir", config.snapshot_dir]
+        argv = [sys.executable, "-m", "repro.serve.cli", "--socket", self.socket_path]
+        argv += config_flags(self.config)
+        if self.config.snapshot_dir:
+            argv += ["--snapshot-dir", self.config.snapshot_dir]
         if self.telemetry_path:
             argv += ["--telemetry", self.telemetry_path]
-        if config.test_hooks:
-            argv += ["--test-hooks"]
         return argv
 
     def start(self) -> None:
@@ -260,7 +237,6 @@ class FleetProcess:
         self.proc: Optional[subprocess.Popen] = None
 
     def args(self) -> List[str]:
-        config = self.config
         argv = [
             sys.executable,
             "-m",
@@ -273,29 +249,12 @@ class FleetProcess:
             str(self.num_buckets),
             "--run-dir",
             self.run_dir,
-            "--algorithm",
-            config.algorithm,
-            "--disk-chunks",
-            str(config.disk_chunks),
-            "--chunk-bytes",
-            str(config.chunk_bytes),
-            "--alpha",
-            str(config.alpha_f2r),
-            "--rate",
-            str(config.rate),
-            "--queue-limit",
-            str(config.queue_limit),
-            "--snapshot-every",
-            str(config.snapshot_every),
-            "--publish-interval",
-            str(config.publish_interval),
         ]
-        if config.snapshot_dir:
-            argv += ["--snapshot-dir", config.snapshot_dir]
+        argv += config_flags(self.config)
+        if self.config.snapshot_dir:
+            argv += ["--snapshot-dir", self.config.snapshot_dir]
         if self.telemetry_path:
             argv += ["--telemetry", self.telemetry_path]
-        if config.test_hooks:
-            argv += ["--test-hooks"]
         return argv
 
     def start(self) -> None:

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.base import VideoCache
-from repro.core.baselines import BeladyCache, LfuAdmissionCache, PullThroughLruCache
+from repro.core.baselines import BeladyCache, PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
 from repro.core.lru_variants import GreedyDualSizeCache, LruKCache
+from repro.core.policy import cache_factories as _policy_cache_factories
+from repro.core.policy import cache_factory as _policy_cache_factory
 from repro.core.psychic import PsychicCache
 from repro.core.xlru import XlruCache
 from repro.sim.engine import SimulationResult
@@ -48,7 +50,9 @@ CACHE_FACTORIES: Dict[str, Callable[..., VideoCache]] = {
     "Cafe": CafeCache,
     "Psychic": PsychicCache,
     "PullLRU": PullThroughLruCache,
-    "LFU": LfuAdmissionCache,
+    # the LFU-PK policy on the policy-kernel engine, under the
+    # baseline's name: one production LFU
+    "LFU": _policy_cache_factory("LFU-PK", name="LFU"),
     "Belady": BeladyCache,
     "LRU-K": LruKCache,
     "GDS": GreedyDualSizeCache,
@@ -60,8 +64,6 @@ PAPER_ALGORITHMS = ("xLRU", "Cafe", "Psychic")
 # Registered policy kernels ride in through the registry: each entry is
 # a KernelCache factory carrying the offline/cost_sensitive attributes
 # the scheduler and equivalence suite read off factory values.
-from repro.core.policy import cache_factories as _policy_cache_factories  # noqa: E402
-
 CACHE_FACTORIES.update(_policy_cache_factories())
 
 

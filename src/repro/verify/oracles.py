@@ -714,11 +714,18 @@ ORACLE_FACTORIES = {
     "GDS": OracleGds,
 }
 
-# Registered policy kernels bring their own oracles: an explicit
-# hand-written reference (the LFU-PK port pins itself against the
-# production LfuAdmissionCache) or the auto-derived OracleKernelCache —
-# the same policy object replayed on plain dicts and linear min-scans.
+# Registered policy kernels get the auto-derived OracleKernelCache —
+# the same policy object replayed on plain dicts and linear min-scans —
+# unless a hand-written oracle exists: LFU runs on the LFU-PK policy,
+# so OracleLfu is the oracle of both names.
 ORACLE_FACTORIES.update(_policy_oracle_factories())
+
+
+class _OracleLfuPk(OracleLfu):
+    name = "oracle:LFU-PK"
+
+
+ORACLE_FACTORIES["LFU-PK"] = _OracleLfuPk
 
 
 def build_oracle(

@@ -1,12 +1,17 @@
-"""Tests for the classic baselines (pull-through LRU, LFU, Belady)."""
+"""Tests for the classic baselines (pull-through LRU, LFU, Belady).
+
+LFU runs on the policy-kernel engine; its tests build it by name, the
+way every caller does.
+"""
 
 import pytest
 
-from repro.core.baselines import BeladyCache, LfuAdmissionCache, PullThroughLruCache
+from repro.core.baselines import BeladyCache, PullThroughLruCache
 from repro.core.base import Decision
 from repro.core.costs import CostModel
 from repro.core.cafe import CafeCache
 from repro.sim.engine import replay
+from repro.sim.runner import build_cache
 from repro.trace.requests import Request
 
 K = 1024
@@ -54,25 +59,25 @@ class TestPullThroughLru:
 
 class TestLfuAdmission:
     def test_first_seen_redirected(self):
-        cache = LfuAdmissionCache(4, chunk_bytes=K)
+        cache = build_cache("LFU", 4, chunk_bytes=K)
         assert cache.handle(req(0.0, 1, 0)).decision is Decision.REDIRECT
 
     def test_admitted_after_min_hits(self):
-        cache = LfuAdmissionCache(4, chunk_bytes=K, min_video_hits=3)
+        cache = build_cache("LFU", 4, chunk_bytes=K, min_video_hits=3)
         assert cache.handle(req(0.0, 1, 0)).decision is Decision.REDIRECT
         assert cache.handle(req(1.0, 1, 0)).decision is Decision.REDIRECT
         assert cache.handle(req(2.0, 1, 0)).decision is Decision.SERVE
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            LfuAdmissionCache(4, min_video_hits=0)
+            build_cache("LFU", 4, min_video_hits=0)
         with pytest.raises(ValueError):
-            LfuAdmissionCache(4, aging_interval=0)
+            build_cache("LFU", 4, aging_interval=0)
 
     def test_frequency_beats_recency(self):
         """LFU keeps the 5x-requested chunk over the newer 2x one —
         the opposite of what a pure LRU would do."""
-        cache = LfuAdmissionCache(2, chunk_bytes=K)
+        cache = build_cache("LFU", 2, chunk_bytes=K)
         for t in range(5):
             cache.handle(req(float(t), 1, 0))  # A: freq 5, old
         cache.handle(req(5.0, 2, 0))
@@ -84,7 +89,7 @@ class TestLfuAdmission:
         assert (3, 0) in cache
 
     def test_aging_halves_frequencies(self):
-        cache = LfuAdmissionCache(4, chunk_bytes=K, aging_interval=5)
+        cache = build_cache("LFU", 4, chunk_bytes=K, aging_interval=5)
         for t in range(10):
             cache.handle(req(float(t), 1, 0))
         # survives aging without errors and stays consistent
@@ -92,12 +97,12 @@ class TestLfuAdmission:
         assert len(cache) == 1
 
     def test_oversize_request_redirected(self):
-        cache = LfuAdmissionCache(2, chunk_bytes=K)
+        cache = build_cache("LFU", 2, chunk_bytes=K)
         cache.handle(req(0.0, 1, 0, 5))
         assert cache.handle(req(1.0, 1, 0, 5)).decision is Decision.REDIRECT
 
     def test_capacity_never_exceeded(self, small_trace):
-        cache = LfuAdmissionCache(32, cost_model=CostModel(1.0), aging_interval=100)
+        cache = build_cache("LFU", 32, alpha_f2r=1.0, aging_interval=100)
         for r in small_trace[:1000]:
             cache.handle(r)
             assert len(cache) <= 32

@@ -1,6 +1,7 @@
 """handle_span_block_kernel: the hoisted walks must mirror the reference.
 
-xLRU, PullLRU, LFU and KernelCache override
+xLRU, PullLRU and KernelCache (which runs LFU and every registered
+policy) override
 :meth:`~repro.core.base.VideoCache.handle_span_block_kernel` with one
 hoisted walk behind a numpy screen (admission, residency).  The
 contract is observable identity with the per-request reference
@@ -31,6 +32,10 @@ from repro.verify.fuzz import FuzzScenario, adversarial_trace
 from tests.core.test_block_lane import RecordingProbe
 
 K = 1024
+
+#: ``repro-verify`` checks the LFU-PK walk once; these tests also drive
+#: it through the ``LFU`` factory, the name the experiments use.
+LANE_ALGORITHMS = KERNEL_ALGORITHMS + ("LFU",)
 
 
 def replay_kernel(cache, packed, block: int):
@@ -65,7 +70,7 @@ def replay_scalar_blocks(cache, packed, block: int):
     return responses
 
 
-@pytest.mark.parametrize("algo", [a for a in KERNEL_ALGORITHMS if a != "Cafe"])
+@pytest.mark.parametrize("algo", [a for a in LANE_ALGORITHMS if a != "Cafe"])
 def test_every_kernel_algorithm_overrides_the_entry_point(algo):
     # Cafe's block entry is the base per-request walk
     # (tests/core/test_block_lane.py pins that it defines none).
@@ -76,7 +81,7 @@ def test_every_kernel_algorithm_overrides_the_entry_point(algo):
     )
 
 
-@pytest.mark.parametrize("algo", KERNEL_ALGORITHMS)
+@pytest.mark.parametrize("algo", LANE_ALGORITHMS)
 @pytest.mark.parametrize("seed,disk,alpha", [
     (101, 1, 0.5),
     (102, 2, 4.0),
@@ -96,7 +101,7 @@ def test_kernel_matches_scalar_block_walk(algo, seed, disk, alpha, block):
     assert len(kernel) == len(scalar)
 
 
-@pytest.mark.parametrize("algo", KERNEL_ALGORITHMS)
+@pytest.mark.parametrize("algo", LANE_ALGORITHMS)
 def test_kernel_lane_verifier_passes(algo):
     """The repro-verify kernel-lane check is green on the production caches."""
     scenario = FuzzScenario(
@@ -114,7 +119,7 @@ def test_kernel_lane_verifier_passes(algo):
     assert result.ok, str(result.divergence)
 
 
-@pytest.mark.parametrize("algo", KERNEL_ALGORITHMS)
+@pytest.mark.parametrize("algo", LANE_ALGORITHMS)
 def test_kernel_state_keeps_evolving_identically(algo):
     """Post-kernel caches behave exactly like post-scalar caches."""
     head = adversarial_trace(seed=7, num_requests=400, disk_chunks=8)
@@ -129,7 +134,7 @@ def test_kernel_state_keeps_evolving_identically(algo):
     assert [scalar.handle(r) for r in tail] == [kernel.handle(r) for r in tail]
 
 
-@pytest.mark.parametrize("algo", KERNEL_ALGORITHMS)
+@pytest.mark.parametrize("algo", LANE_ALGORITHMS)
 def test_kernel_default_fallback_when_probe_attached(algo, monkeypatch):
     """With a probe attached each hoisted walk keeps running: it never
     calls ``handle_span``, and its hook log equals the per-request

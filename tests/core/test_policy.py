@@ -2,10 +2,11 @@
 
 Golden pins:
 
-* the LFU port (``LFU-PK``) is byte-identical to the hand-written
-  :class:`~repro.core.baselines.LfuAdmissionCache` on the object lane,
-  the hoisted block lane, and the vectorized kernel lane — the
-  protocol's proof obligation;
+* the LFU port (``LFU-PK``, which ``LFU`` also runs) is byte-identical
+  to the hand-written :class:`~repro.verify.oracles.OracleLfu` on the
+  object lane, the hoisted block lane, and the vectorized kernel lane —
+  outcomes, frequencies, hit counts, the aging cursor and the cached
+  set in eviction order;
 * tunable LRU at ``q = 1`` collapses to PullLRU on oversize-free
   traces (the insertion position degenerates to the most-recent end;
   oversize handling legitimately differs: the pipeline walks chunks
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.baselines import LfuAdmissionCache
 from repro.core.policy import (
     POLICY_REGISTRY,
     KernelCache,
@@ -42,7 +42,7 @@ from repro.trace.columnar import pack_trace
 from repro.trace.requests import Request
 from repro.verify.differential import KERNEL_ALGORITHMS, verify_algorithm
 from repro.verify.fuzz import FuzzScenario, adversarial_trace
-from repro.verify.oracles import ORACLE_FACTORIES
+from repro.verify.oracles import ORACLE_FACTORIES, OracleLfu
 
 from tests.core.test_kernel_lane import replay_kernel, replay_scalar_blocks
 
@@ -54,44 +54,51 @@ def _outcomes(responses):
     return [(r.decision.value, r.filled_chunks, r.evicted_chunks) for r in responses]
 
 
-# -- golden port: LFU-PK vs the hand-written LfuAdmissionCache -----------------
+# -- golden port: LFU-PK vs the hand-written OracleLfu --------------------------
+
+
+def assert_same_lfu_state(port, oracle):
+    """Frequencies (in the admission order aging walks), hit counts,
+    aging cursor, and the cached set in
+    ascending ``(score, seq)`` order — the order evictions take."""
+    assert list(port.policy._freq.items()) == list(oracle._freq.items())
+    assert port.policy._video_hits == oracle._video_hits
+    assert port.policy._handled == oracle._handled
+    ranked = sorted(oracle._cached.items(), key=lambda item: item[1])
+    assert list(port._cached.items_ascending()) == [
+        (chunk, score) for chunk, (score, _seq) in ranked
+    ]
 
 
 @pytest.mark.parametrize("seed,disk,aging", [(31, 4, 10_000), (32, 8, 37), (33, 2, 7)])
 def test_lfu_port_byte_identical_object_lane(seed, disk, aging):
     trace = adversarial_trace(seed=seed, num_requests=600, disk_chunks=disk)
-    hand = LfuAdmissionCache(disk, chunk_bytes=K, aging_interval=aging)
+    oracle = OracleLfu(disk, chunk_bytes=K, aging_interval=aging)
     port = KernelCache(LfuKernelPolicy(aging_interval=aging), disk, chunk_bytes=K)
     for r in trace:
-        a = hand.handle(r)
+        a = oracle.handle(r)
         b = port.handle(r)
         assert _outcomes([a]) == _outcomes([b]), r
-        assert len(hand) == len(port)
-    assert sorted(hand._cached.items_ascending()) == sorted(
-        port._cached.items_ascending()
-    )
-    assert hand._freq == port.policy._freq
-    assert hand._video_hits == port.policy._video_hits
+        assert len(oracle) == len(port)
+    assert_same_lfu_state(port, oracle)
 
 
 @pytest.mark.parametrize("block", [1, 33, 256])
 def test_lfu_port_byte_identical_block_and_kernel_lanes(block):
     trace = adversarial_trace(seed=41, num_requests=600, disk_chunks=6)
     packed = pack_trace(trace, chunk_bytes=K)
-    hand = LfuAdmissionCache(6, chunk_bytes=K, aging_interval=53)
+    oracle = OracleLfu(6, chunk_bytes=K, aging_interval=53)
     walker = KernelCache(LfuKernelPolicy(aging_interval=53), 6, chunk_bytes=K)
     kernel = KernelCache(LfuKernelPolicy(aging_interval=53), 6, chunk_bytes=K)
-    want = replay_scalar_blocks(hand, packed, block)
+    want = replay_scalar_blocks(oracle, packed, block)
     got_walk = replay_scalar_blocks(walker, packed, block)
     got_kernel, misses_ok = replay_kernel(kernel, packed, block)
     assert got_walk == want
     assert got_kernel == want
     assert misses_ok
     for port in (walker, kernel):
-        assert len(port) == len(hand)
-        assert port.policy._freq == hand._freq
-        assert port.policy._video_hits == hand._video_hits
-        assert port.policy._handled == hand._handled
+        assert len(port) == len(oracle)
+        assert_same_lfu_state(port, oracle)
 
 
 # -- qLRU degenerates to PullLRU at q = 1 --------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.baselines import LfuAdmissionCache, PullThroughLruCache
+from repro.core.baselines import PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
 from repro.core.psychic import PsychicCache
@@ -16,6 +16,7 @@ from repro.core.snapshot import (
     supports_snapshot,
 )
 from repro.core.xlru import XlruCache
+from repro.sim.runner import build_cache
 from repro.trace.requests import Request
 
 K = 1024
@@ -54,7 +55,7 @@ class TestRegistry:
     def test_registry_covers_hand_written_and_policy_kinds(self):
         from repro.core.policy import POLICY_REGISTRY
 
-        expected = {"xlru", "cafe", "pull-lru", "lfu"} | {
+        expected = {"xlru", "cafe", "pull-lru"} | {
             f"policy:{spec.kind}" for spec in POLICY_REGISTRY.values()
         }
         assert set(SNAPSHOT_KINDS) == expected
@@ -62,12 +63,14 @@ class TestRegistry:
     def test_supports_snapshot(self):
         assert supports_snapshot(XlruCache(8, chunk_bytes=K))
         assert supports_snapshot(PullThroughLruCache(8, chunk_bytes=K))
-        assert supports_snapshot(LfuAdmissionCache(8, chunk_bytes=K))
+        assert supports_snapshot(build_cache("LFU", 8, chunk_bytes=K))
         assert not supports_snapshot(PsychicCache(8))
 
     def test_kind_tags(self):
         assert snapshot_kind(PullThroughLruCache(8, chunk_bytes=K)) == "pull-lru"
-        assert snapshot_kind(LfuAdmissionCache(8, chunk_bytes=K)) == "lfu"
+        # LFU runs on the policy-kernel engine; legacy "lfu" snapshots
+        # load through tests/core/test_snapshot_fixtures.py
+        assert snapshot_kind(build_cache("LFU", 8, chunk_bytes=K)) == "policy:lfu"
 
 
 class TestUnsupported:
@@ -214,16 +217,16 @@ class TestPullLruRoundtrip:
 class TestLfuRoundtrip:
     def _cache(self, **kw):
         kw.setdefault("aging_interval", 200)
-        return LfuAdmissionCache(64, **kw)
+        return build_cache("LFU", 64, **kw)
 
     def test_contents_restored(self, warm_trace):
         original = warm(self._cache(), warm_trace)
         restored = self._cache()
         load_state_dict(restored, state_dict(original))
         assert len(restored) == len(original)
-        assert restored._video_hits == original._video_hits
-        assert restored._freq == original._freq
-        assert restored._handled == original._handled
+        assert restored.policy._video_hits == original.policy._video_hits
+        assert restored.policy._freq == original.policy._freq
+        assert restored.policy._handled == original.policy._handled
         assert list(restored._cached.items_ascending()) == list(
             original._cached.items_ascending()
         )
@@ -235,7 +238,7 @@ class TestLfuRoundtrip:
         restored = self._cache(aging_interval=150)
         load_state_dict(restored, state_dict(original))
         continue_identically(original, restored, continuation)
-        assert restored._handled == original._handled
+        assert restored.policy._handled == original.policy._handled
 
     def test_json_file_roundtrip(self, tmp_path, warm_trace):
         original = warm(self._cache(), warm_trace)
@@ -243,16 +246,17 @@ class TestLfuRoundtrip:
         save_snapshot(original, path)
         restored = self._cache()
         load_snapshot(restored, path)
-        assert restored._freq == original._freq  # dyadic floats: exact
+        # dyadic floats: exact
+        assert restored.policy._freq == original.policy._freq
 
     def test_admission_mismatch_rejected(self, warm_trace):
         original = warm(self._cache(min_video_hits=2), warm_trace)
         state = state_dict(original)
-        with pytest.raises(ValueError, match="admission/aging"):
+        with pytest.raises(ValueError, match="min_video_hits"):
             load_state_dict(self._cache(min_video_hits=3), state)
 
     def test_aging_mismatch_rejected(self, warm_trace):
         original = warm(self._cache(aging_interval=200), warm_trace)
         state = state_dict(original)
-        with pytest.raises(ValueError, match="admission/aging"):
+        with pytest.raises(ValueError, match="aging_interval"):
             load_state_dict(self._cache(aging_interval=100), state)

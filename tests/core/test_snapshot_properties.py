@@ -14,7 +14,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.baselines import LfuAdmissionCache, PullThroughLruCache
+from repro.core.baselines import PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
 from repro.core.policy import POLICY_REGISTRY, KernelCache
@@ -37,15 +37,13 @@ _BUILDERS = {
     "xlru": lambda: XlruCache(DISK, chunk_bytes=K, cost_model=CostModel(2.0)),
     "cafe": lambda: CafeCache(DISK, chunk_bytes=K, cost_model=CostModel(2.0)),
     "pull-lru": lambda: PullThroughLruCache(DISK, chunk_bytes=K),
-    "lfu": lambda: LfuAdmissionCache(
-        DISK, chunk_bytes=K, min_video_hits=2, aging_interval=20
-    ),
 }
 
 # Every registered policy kernel joins the cut-point property via the
 # generic KernelCache snapshot path — a new plugin is covered with no
-# edit here.  Stress kwargs keep the housekeeping paths (LFU-PK aging)
-# inside hypothesis-sized traces.
+# edit here.  LFU is the LFU-PK policy, so ``policy:lfu`` covers it.
+# Stress kwargs keep the housekeeping paths (LFU-PK aging) inside
+# hypothesis-sized traces.
 _POLICY_KWARGS = {"LFU-PK": {"aging_interval": 20}}
 _BUILDERS.update(
     {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,21 @@ class TestComparison:
             assert "efficiency" in entry["deltas"]
         # a 4x bigger disk cannot be a steady-state efficiency regression
         assert max_efficiency_drop(comparison) == 0.0
+
+    def test_same_label_files_keep_separate_columns(self, run_files, tmp_path):
+        """Two runs labelled alike (say kernels on and off) stay two
+        columns, so the delta compares them instead of a run with
+        itself."""
+        text = Path(run_files[1]).read_text(encoding="utf-8")
+        same = tmp_path / "same-label.jsonl"
+        same.write_text(text.replace('"label": "cand"', '"label": "base"'))
+        files = load_runs([run_files[0], str(same)])
+        assert [f.label for f in files] == ["base", "base"]
+        comparison = compare_runs(files)
+        assert comparison["files"] == ["base #1", "base #2"]
+        assert comparison["lanes"]["xLRU"]["deltas"]["efficiency"] > 0
+        header = render_comparison(files).splitlines()[1]
+        assert "base #1" in header and "base #2" in header
 
     def test_missing_lane_tolerated(self, run_files):
         files = load_runs(run_files)

@@ -1,10 +1,19 @@
 """End-to-end fault soak: SIGKILL a live daemon subprocess mid-trace
 and require byte-identical totals vs the uninterrupted batch replay."""
 
+import dataclasses
 import random
 
+import repro.serve.cli as serve_cli
+import repro.serve.fleet as serve_fleet
 from repro.serve.daemon import ServeConfig
-from repro.serve.soak import batch_totals, kill_schedule, run_soak
+from repro.serve.soak import (
+    DaemonProcess,
+    FleetProcess,
+    batch_totals,
+    kill_schedule,
+    run_soak,
+)
 from repro.trace.requests import Request
 
 K = 1024
@@ -34,6 +43,104 @@ def test_kill_schedule_is_seeded_and_inside_span():
     span = trace[-1].t - trace[0].t
     for t in times:
         assert trace[0].t + 0.1 * span <= t <= trace[0].t + 0.9 * span
+
+
+#: ServeConfig fields that ``repro-serve`` takes as a flag, and those it
+#: does not (daemon internals, and what each caller adds per process)
+FLAG_FIELDS = (
+    "algorithm",
+    "disk_chunks",
+    "chunk_bytes",
+    "alpha_f2r",
+    "rate",
+    "burst",
+    "queue_limit",
+    "snapshot_every",
+    "snapshot_keep",
+    "request_timeout",
+    "max_retries",
+    "publish_interval",
+    "test_hooks",
+    "fault_rate",
+    "fault_seed",
+)
+CALLER_FIELDS = ("snapshot_dir", "telemetry_path", "shard_id", "num_shards", "num_buckets")
+INTERNAL_FIELDS = ("retry_base_delay", "degrade_high", "degrade_low")
+
+OFF_DEFAULT = ServeConfig(
+    algorithm="LFU",
+    disk_chunks=77,
+    chunk_bytes=4096,
+    alpha_f2r=0.5,
+    rate=123.5,
+    burst=17.0,
+    queue_limit=33,
+    snapshot_dir="snaps",
+    snapshot_every=11,
+    snapshot_keep=5,
+    request_timeout=1.25,
+    max_retries=7,
+    publish_interval=0.25,
+    test_hooks=True,
+    fault_rate=0.125,
+    fault_seed=9,
+)
+
+
+def _parsed(argv, monkeypatch):
+    """What ``repro-serve`` builds from ``argv``, without running it: the
+    daemon's ServeConfig, or the fleet's FleetConfig."""
+    built = []
+
+    class Daemon:
+        def __init__(self, config, events=None):
+            built.append(config)
+
+        async def run(self, **endpoints):
+            return 0
+
+    class Fleet:
+        def __init__(self, config, events=None):
+            built.append(config)
+
+        def run(self):
+            return 0
+
+    monkeypatch.setattr(serve_cli, "ServeDaemon", Daemon)
+    monkeypatch.setattr(serve_fleet, "ServeFleet", Fleet)
+    assert serve_cli.main(argv[3:]) == 0  # drop "python -m repro.serve.cli"
+    (config,) = built
+    return config
+
+
+def _flagged(config):
+    return {name: getattr(config, name) for name in FLAG_FIELDS}
+
+
+def test_flag_fields_are_every_field_and_set_off_default():
+    names = {f.name for f in dataclasses.fields(ServeConfig)}
+    assert names == set(FLAG_FIELDS + CALLER_FIELDS + INTERNAL_FIELDS)
+    for name in FLAG_FIELDS:
+        assert getattr(OFF_DEFAULT, name) != getattr(ServeConfig(), name), name
+
+
+def test_daemon_argv_parses_back_to_its_config(monkeypatch):
+    daemon = DaemonProcess("d.sock", OFF_DEFAULT, telemetry_path="t.jsonl")
+    parsed = _parsed(daemon.args(), monkeypatch)
+    assert _flagged(parsed) == _flagged(OFF_DEFAULT)
+    assert parsed.snapshot_dir == "snaps"
+    assert parsed.telemetry_path == "t.jsonl"
+
+
+def test_fleet_worker_argv_parses_back_to_its_config(monkeypatch):
+    fleet = FleetProcess("f.sock", "run", OFF_DEFAULT, workers=2, num_buckets=64)
+    fleet_config = _parsed(fleet.args(), monkeypatch)
+    assert fleet_config.snapshot_dir == "snaps"
+    worker_argv = ["python", "-m", "repro.serve.cli", "--socket", "w0.sock"]
+    worker_argv += ["--shard", "0", "--num-shards", "2", "--num-buckets", "64"]
+    worker = _parsed(worker_argv + list(fleet_config.worker_args), monkeypatch)
+    assert _flagged(worker) == _flagged(OFF_DEFAULT)
+    assert (worker.shard_id, worker.num_shards, worker.num_buckets) == (0, 2, 64)
 
 
 def test_batch_totals_counts_everything():

@@ -16,13 +16,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.baselines import BeladyCache, LfuAdmissionCache, PullThroughLruCache
+from repro.core.baselines import BeladyCache, PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
 from repro.core.lru_variants import GreedyDualSizeCache, LruKCache
 from repro.core.psychic import PsychicCache
 from repro.core.xlru import XlruCache
 from repro.sim.engine import replay
+from repro.sim.runner import CACHE_FACTORIES
 from repro.trace.requests import Request
 
 K = 1024
@@ -34,7 +35,7 @@ ALL_CACHE_CLASSES = [
     PsychicCache,
     BeladyCache,
     PullThroughLruCache,
-    LfuAdmissionCache,
+    CACHE_FACTORIES["LFU"],  # the LFU policy on the kernel engine
     LruKCache,
     GreedyDualSizeCache,
 ]
