@@ -15,13 +15,13 @@ import math
 
 import pytest
 
-from repro.core.baselines import PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
 from repro.core.psychic import PsychicCache
 from repro.core.xlru import XlruCache
 from repro.experiments.common import scaled_disk_chunks, server_trace
 from repro.sim.metrics import IntervalSample, MetricsCollector, _MutableCounters
+from repro.sim.runner import CACHE_FACTORIES
 
 SLICE = 5_000
 ALPHA = 2.0
@@ -59,7 +59,7 @@ def test_throughput_cafe(benchmark, trace, disk):
 
 
 def test_throughput_pull_lru(benchmark, trace, disk):
-    _bench_online(benchmark, PullThroughLruCache, trace, disk)
+    _bench_online(benchmark, CACHE_FACTORIES["PullLRU"], trace, disk)
 
 
 def test_throughput_psychic(benchmark, trace, disk):

@@ -17,10 +17,11 @@ three operational realities.  This example makes each one measurable:
 Run:  python examples/server_engineering.py
 """
 
-from repro import CafeCache, CostModel, PullThroughLruCache, SERVER_PROFILES, TraceGenerator, replay
+from repro import CafeCache, CostModel, SERVER_PROFILES, TraceGenerator, replay
 from repro.cdn import ShardedServer
 from repro.sim import DiskModel, EgressCapacityGate, analyze_disk_load
 from repro.sim.metrics import MetricsCollector
+from repro.sim.runner import build_cache
 
 
 def main() -> None:
@@ -31,8 +32,8 @@ def main() -> None:
     # -- 1. disk write interference ------------------------------------------
     print("1. Disk write interference (alpha = 2):")
     results = {
-        cache_cls.name: replay(cache_cls(512, cost_model=CostModel(2.0)), trace)
-        for cache_cls in (PullThroughLruCache, CafeCache)
+        algo: replay(build_cache(algo, 512, alpha_f2r=2.0), trace)
+        for algo in ("PullLRU", "Cafe")
     }
     # provision the disk array for Cafe's peak load + 15% headroom
     probe = DiskModel(read_blocks_per_second=1.0)

@@ -34,7 +34,6 @@ from repro.core import (
     OptimalCache,
     OptimalSolution,
     PsychicCache,
-    PullThroughLruCache,
     VideoCache,
     XlruCache,
     solve_optimal,
@@ -64,7 +63,6 @@ __all__ = [
     "OptimalCache",
     "OptimalSolution",
     "solve_optimal",
-    "PullThroughLruCache",
     "BeladyCache",
     # trace
     "Request",

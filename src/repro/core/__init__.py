@@ -6,15 +6,16 @@
 * :class:`OptimalCache` — the IP/LP-relaxed offline optimum (Section 7),
 
 plus the classic "standard solution" baselines the paper argues are
-insufficient (:mod:`repro.core.baselines`) and the shared cost model
-(:mod:`repro.core.costs`).
+insufficient (:mod:`repro.core.baselines`; PullLRU, LFU and GDS run on
+the policy-kernel engine, :mod:`repro.core.policy`, and are built by
+name) and the shared cost model (:mod:`repro.core.costs`).
 """
 
 from repro.core.base import CacheResponse, Decision, VideoCache
-from repro.core.baselines import BeladyCache, PullThroughLruCache
+from repro.core.baselines import BeladyCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
-from repro.core.lru_variants import GreedyDualSizeCache, LruKCache
+from repro.core.lru_variants import LruKCache
 from repro.core.optimal import OptimalCache, OptimalSolution, solve_optimal
 from repro.core.psychic import PsychicCache
 from repro.core.snapshot import (
@@ -36,10 +37,8 @@ __all__ = [
     "OptimalCache",
     "OptimalSolution",
     "solve_optimal",
-    "PullThroughLruCache",
     "BeladyCache",
     "LruKCache",
-    "GreedyDualSizeCache",
     "state_dict",
     "load_state_dict",
     "save_snapshot",

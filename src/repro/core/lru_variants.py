@@ -14,17 +14,17 @@ decision — can be measured instead of assumed:
   accesses is "unproven" and gets redirected (a generalization of
   xLRU's LRU-2-flavoured admission); chunk replacement evicts the
   chunk whose video has the oldest K-th access.
-* :class:`GreedyDualSizeCache` — GDS [Cao & Irani, USITS'97]: each
-  cached chunk carries a credit ``H = L + cost/size``; eviction takes
-  the minimum-H chunk and raises the global inflation ``L`` to it.
-  With fixed-size chunks the size term degenerates (as the paper notes:
-  "we deal with fixed-size chunks ... the size is not a concern"), so
-  cost/size reduces to a constant and GDS degrades gracefully toward
-  LRU-with-aging — which is precisely the paper's point.
+* ``GDS`` — Greedy-Dual-Size [Cao & Irani, USITS'97], which runs as
+  :class:`~repro.core.policy.gds.GdsPolicy` on the policy-kernel
+  engine.
 
-Both always serve once admission passes: they have no
-cost-model-driven redirect decision, so neither can comply with
-``alpha_F2R`` (they accept a cost model only for accounting parity).
+LRU-K always serves once admission passes: it has no
+cost-model-driven redirect decision, so it cannot comply with
+``alpha_F2R`` (it accepts a cost model only for accounting parity).
+It stays hand-written: it re-keys a video's chunks in the iteration
+order of a per-video ``set``, that order breaks ties among them, and a
+set rebuilt from a snapshot does not reproduce it, so a policy port
+would not continue a snapshot exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.core.costs import CostModel
 from repro.structures.scoreheap import ScoreHeap
 from repro.trace.requests import DEFAULT_CHUNK_BYTES, ChunkId, Request
 
-__all__ = ["LruKCache", "GreedyDualSizeCache"]
+__all__ = ["LruKCache"]
 
 _INF = float("inf")
 
@@ -185,77 +185,3 @@ class LruKCache(VideoCache):
                     break
                 victim = min(uncached, key=lambda v: self._history[v][-1])
             del self._history[victim]
-
-
-class GreedyDualSizeCache(VideoCache):
-    """Greedy-Dual-Size replacement on fixed-size chunks (§3, [7]).
-
-    Credit on (re)access: ``H(chunk) = L + cost / size``.  With unit
-    chunk sizes and a fill-cost numerator this is GDS(1); eviction pops
-    the minimum-H chunk and advances the inflation value ``L`` to its
-    credit, which ages everything else relatively.
-    """
-
-    name = "GDS"
-
-    def __init__(
-        self,
-        disk_chunks: int,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        cost_model: CostModel | None = None,
-    ) -> None:
-        super().__init__(disk_chunks, chunk_bytes, cost_model)
-        self._cached: ScoreHeap[ChunkId] = ScoreHeap()
-        self._inflation = 0.0
-
-    def handle(self, request: Request) -> CacheResponse:
-        k = self.chunk_bytes
-        return self.handle_span(
-            request.t,
-            request.video,
-            request.b0,
-            request.b1,
-            request.b0 // k,
-            request.b1 // k,
-        )
-
-    def handle_span(
-        self, t: float, video: int, b0: int, b1: int, c0: int, c1: int
-    ) -> CacheResponse:
-        if c1 - c0 + 1 > self.disk_chunks:
-            return REDIRECT
-
-        cached = self._cached
-        credit = self._inflation + self.cost_model.fill_cost
-        missing = []
-        for c in range(c0, c1 + 1):
-            chunk = (video, c)
-            if chunk in cached:
-                cached.insert(chunk, credit)  # refresh H on hit
-            else:
-                missing.append(chunk)
-        if not missing:
-            return SERVE_HIT
-
-        evicted = 0
-        need = len(missing) - (self.disk_chunks - len(cached))
-        if need > 0:
-            exclude = {(video, c) for c in range(c0, c1 + 1)}
-            for _chunk, h_value in cached.pop_n_smallest(need, exclude=exclude):
-                self._inflation = max(self._inflation, h_value)
-                evicted += 1
-            credit = self._inflation + self.cost_model.fill_cost
-        for chunk in missing:
-            cached.insert(chunk, credit)
-        return serve_response(len(missing), evicted)
-
-    def __contains__(self, chunk: ChunkId) -> bool:
-        return chunk in self._cached
-
-    def __len__(self) -> int:
-        return len(self._cached)
-
-    @property
-    def inflation(self) -> float:
-        """The current GDS aging value ``L``."""
-        return self._inflation

@@ -16,11 +16,18 @@ Built-in policies:
   hand-written :class:`~repro.verify.oracles.OracleLfu` is the oracle
   of both names;
 * ``Retention`` — retention-aware chunk caching (arXiv:1512.03274);
-* ``qLRU`` — tunable insertion-position LRU (arXiv:1806.10853).
+* ``qLRU`` — tunable insertion-position LRU (arXiv:1806.10853);
+* ``PullLRU`` — fetch-on-miss LRU, the paper's §2 "standard solution",
+  checked against the hand-written
+  :class:`~repro.verify.oracles.OraclePullLru`;
+* ``GDS`` — Greedy-Dual-Size (§3), checked against the hand-written
+  :class:`~repro.verify.oracles.OracleGds`.
 """
 
+from repro.core.policy.gds import GdsPolicy
 from repro.core.policy.kernel import KernelCache, OracleKernelCache, PolicyKernel
 from repro.core.policy.lfu_port import LfuKernelPolicy
+from repro.core.policy.pull_lru import PullLruPolicy
 from repro.core.policy.qlru import TunableLruPolicy
 from repro.core.policy.registry import (
     POLICY_REGISTRY,
@@ -51,6 +58,8 @@ __all__ = [
     "LfuKernelPolicy",
     "RetentionAwarePolicy",
     "TunableLruPolicy",
+    "PullLruPolicy",
+    "GdsPolicy",
 ]
 
 register_policy(PolicySpec(name="LFU-PK", kind="lfu", policy_cls=LfuKernelPolicy))
@@ -58,3 +67,5 @@ register_policy(
     PolicySpec(name="Retention", kind="retention", policy_cls=RetentionAwarePolicy)
 )
 register_policy(PolicySpec(name="qLRU", kind="qlru", policy_cls=TunableLruPolicy))
+register_policy(PolicySpec(name="PullLRU", kind="pull-lru", policy_cls=PullLruPolicy))
+register_policy(PolicySpec(name="GDS", kind="gds", policy_cls=GdsPolicy))

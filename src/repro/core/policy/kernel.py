@@ -18,7 +18,9 @@ any conforming policy into
 Both engines drive the policy through one fixed pipeline per request
 (the pipeline of the hand-fused LFU cache this engine replaced; the
 ``LFU-PK`` port was byte-identical to it, and it is pinned now against
-the hand-written :class:`~repro.verify.oracles.OracleLfu`):
+the hand-written :class:`~repro.verify.oracles.OracleLfu`,
+:class:`~repro.verify.oracles.OraclePullLru` and
+:class:`~repro.verify.oracles.OracleGds`):
 
 1. ``on_request`` — per-request bookkeeping (counters, aging);
 2. chunk walk — resident chunks may be re-scored via ``rescore_hit``,
@@ -26,7 +28,7 @@ the hand-written :class:`~repro.verify.oracles.OracleLfu`):
 3. oversized check — spans larger than the disk redirect;
 4. ``admit`` — a redirect-reason string rejects the request;
 5. eviction — the lowest ``(score, seq)`` chunks outside the span make
-   room, each reported through ``on_evict``;
+   room, each reported with its score through ``on_evict``;
 6. fill — every missing chunk is inserted at ``fill_score``.
 
 Because both engines issue identical sequences of insert/evict
@@ -59,8 +61,10 @@ class PolicyKernel:
     """One caching policy expressed as score/admit/evict hooks.
 
     Subclasses override the hooks they need; the defaults make the
-    trivial policy (always admit, never re-score, fill at ``t``) —
-    i.e. pull-through LRU.  Contract notes the engines rely on:
+    trivial policy (always admit, re-score hits and fill at ``t``) —
+    pull-through LRU on spans that fit the disk (the registered
+    ``PullLRU`` adds a guard for larger spans).  Contract notes the
+    engines rely on:
 
     * ``on_request`` runs exactly once per request, *before* the chunk
       walk, and is the only hook allowed to mutate admission state —
@@ -69,6 +73,8 @@ class PolicyKernel:
     * ``rescore_hit``/``fill_score`` return the chunk's new eviction
       score; lower scores evict first, ties break by insertion order.
       ``rescore_hit`` may return None to leave the chunk's key alone;
+    * ``on_evict`` gets each victim with the score it was evicted at,
+      before any fill of the same request is scored;
     * policies reach their engine through :attr:`cache` (set by
       :meth:`bind`): ``cache.rekey(chunk, score)`` re-keys a resident
       chunk (aging passes), ``cache.min_score()`` reads the current
@@ -116,8 +122,8 @@ class PolicyKernel:
         """Insertion score for a chunk being cache-filled."""
         return t
 
-    def on_evict(self, chunk: ChunkId) -> None:
-        """One chunk chosen as an eviction victim (drop side state)."""
+    def on_evict(self, chunk: ChunkId, score: float) -> None:
+        """One chunk evicted at ``score`` (drop side state)."""
 
     # -- optional vectorized pre-screen --------------------------------------
 
@@ -233,8 +239,8 @@ class KernelCache(VideoCache):
         need = len(missing) - (self.disk_chunks - len(cached))
         if need > 0:
             exclude = {(video, c) for c in range(c0, c1 + 1)}
-            for chunk, _score in cached.pop_n_smallest(need, exclude=exclude):
-                policy.on_evict(chunk)
+            for chunk, score in cached.pop_n_smallest(need, exclude=exclude):
+                policy.on_evict(chunk, score)
                 if probe is not None:
                     # scores are policy-defined (not timestamps), so no
                     # eviction age is claimed; residence still tracks
@@ -347,8 +353,8 @@ class KernelCache(VideoCache):
             need = n_missing - (disk_chunks - len(index))
             if need > 0:
                 exclude = {(video, c) for c in range(c0, c1 + 1)}
-                for chunk, _score in cached.pop_n_smallest(need, exclude=exclude):
-                    on_evict(chunk)
+                for chunk, score in cached.pop_n_smallest(need, exclude=exclude):
+                    on_evict(chunk, score)
                     if probe is not None:
                         probe.on_evict(t, chunk, nan)
                     evicted += 1
@@ -460,8 +466,8 @@ class OracleKernelCache(VideoCache):
         if need > 0:
             scored = [(key, chunk) for chunk, key in self._cached.items()]
             for chunk in _n_least(scored, need, set(chunks)):
-                del self._cached[chunk]
-                policy.on_evict(chunk)
+                score, _seq = self._cached.pop(chunk)
+                policy.on_evict(chunk, score)
                 evicted += 1
         for chunk in missing:
             self._insert(chunk, policy.fill_score(t, chunk[0], chunk[1]))

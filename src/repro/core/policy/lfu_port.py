@@ -77,7 +77,7 @@ class LfuKernelPolicy(PolicyKernel):
         self._freq[chunk] = score
         return score
 
-    def on_evict(self, chunk: ChunkId) -> None:
+    def on_evict(self, chunk: ChunkId, score: float) -> None:
         self._freq.pop(chunk, None)
 
     def _age(self) -> None:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.policy.kernel import PolicyKernel
-from repro.trace.requests import ChunkId
 
 __all__ = ["TunableLruPolicy"]
 
@@ -52,9 +51,6 @@ class TunableLruPolicy(PolicyKernel):
         if base is None:
             base = t
         return self.q * t + (1.0 - self.q) * base
-
-    def on_evict(self, chunk: ChunkId) -> None:
-        pass
 
     def gauges(self) -> dict:
         return {"q": self.q}

@@ -14,7 +14,8 @@ manufactures:
   :data:`repro.verify.oracles.ORACLE_FACTORIES` — the auto-derived
   :class:`~repro.core.policy.kernel.OracleKernelCache`, which
   ``repro.verify.oracles`` replaces with a hand-written oracle where
-  one exists (``OracleLfu`` for ``LFU-PK``);
+  one exists (``OracleLfu`` for ``LFU-PK``, ``OraclePullLru`` and
+  ``OracleGds``);
 * kernel-lane names (``kernel_algorithm_names()``) merged into
   :data:`repro.verify.differential.KERNEL_ALGORITHMS` so the
   kernels-on/off equivalence matrix covers every policy;

@@ -26,7 +26,6 @@ from typing import Optional
 
 from repro.core import kernels
 from repro.core.policy.kernel import PolicyKernel
-from repro.trace.requests import ChunkId
 
 __all__ = ["RetentionAwarePolicy"]
 
@@ -74,9 +73,6 @@ class RetentionAwarePolicy(PolicyKernel):
 
     def fill_score(self, t: float, video: int, c: int) -> float:
         return self._score(t, c)
-
-    def on_evict(self, chunk: ChunkId) -> None:
-        pass
 
     def screen(self, block, uniq, inv, counts, first_occurrence):
         """Unproven-video redirects from block-start hit counts.

@@ -9,10 +9,8 @@ the online caches to plain JSON-able dicts:
   recency order with access times;
 * **Cafe** — per-chunk EWMA records (``dt``, ``t_last``), the cached
   chunk set, and the ghost list;
-* **PullLRU** — the disk recency list (the whole state of a
-  fetch-on-miss LRU);
-* **policy kernels** (``policy:<kind>``, LFU among them) — the
-  policy's own state plus the cached set with its scores.
+* **policy kernels** (``policy:<kind>``: LFU, PullLRU and GDS among
+  them) — the policy's own state plus the cached set with its scores.
 
 Restores are *logically* exact: every lookup, IAT, key and admission
 decision matches the original state.  Heap-ordered sets (Cafe, policy
@@ -21,9 +19,11 @@ reinserted in that order, so the relative eviction order among
 equal-scored chunks survives the round trip even though internal
 sequence numbers restart.
 
-The kind ``lfu`` was written by the retired hand-fused LFU cache; it
-is no longer written, and :func:`load_state_dict` converts it into a
-``policy:lfu`` snapshot, which is the same state in the policy's form.
+The kinds ``lfu`` and ``pull-lru`` were written by the retired
+hand-fused LFU and PullLRU caches; they are no longer written, and
+:func:`load_state_dict` converts each into the ``policy:lfu`` or
+``policy:pull-lru`` snapshot that holds the same state in the
+policy's form.
 
 Supported cache types register in :data:`SNAPSHOT_KINDS`; asking for
 any other type raises a ``TypeError`` naming both the supported set
@@ -38,7 +38,6 @@ import math
 from pathlib import Path
 from typing import Dict, Type, Union
 
-from repro.core.baselines import PullThroughLruCache
 from repro.core.base import VideoCache
 from repro.core.cafe import CafeCache
 from repro.core.policy import POLICY_REGISTRY, KernelCache
@@ -61,7 +60,6 @@ _FORMAT_VERSION = 1
 SNAPSHOT_KINDS: Dict[str, Type[VideoCache]] = {
     "xlru": XlruCache,
     "cafe": CafeCache,
-    "pull-lru": PullThroughLruCache,
 }
 # Every registered policy kernel snapshots through the generic
 # KernelCache dumper/loader under the kind tag ``policy:<kind>``.
@@ -124,12 +122,14 @@ def load_state_dict(cache: VideoCache, state: dict) -> None:
 
     The target must match the snapshot's geometry (disk size, chunk
     size); the cost model may differ — operators retune alpha across
-    restarts.  A legacy ``lfu`` snapshot loads as ``policy:lfu``.
+    restarts.  A legacy ``lfu`` or ``pull-lru`` snapshot loads as
+    ``policy:lfu`` or ``policy:pull-lru``.
     """
     if state.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported snapshot version {state.get('version')!r}")
-    if state.get("kind") == "lfu":
-        state = _legacy_lfu_as_policy(state)
+    legacy = _LEGACY.get(state.get("kind"))
+    if legacy is not None:
+        state = legacy(state)
     expected = snapshot_kind(cache)
     if state.get("kind") != expected:
         raise ValueError(
@@ -190,12 +190,6 @@ def _dump_cafe(cache: CafeCache) -> dict:
     }
 
 
-def _dump_pull_lru(cache: PullThroughLruCache) -> dict:
-    return {
-        "disk": [[v, c, t] for (v, c), t in cache._disk.items()],
-    }
-
-
 def _load_xlru(cache: XlruCache, state: dict) -> None:
     from repro.structures.lru import AccessRecencyList
 
@@ -242,17 +236,6 @@ def _load_cafe(cache: CafeCache, state: dict) -> None:
     cache._video_chunks = video_chunks
 
 
-def _load_pull_lru(cache: PullThroughLruCache, state: dict) -> None:
-    from repro.structures.lru import AccessRecencyList
-
-    disk: AccessRecencyList = AccessRecencyList()
-    for v, c, t in state["disk"]:
-        disk.touch((int(v), int(c)), float(t))
-    if len(disk) > cache.disk_chunks:
-        raise ValueError("snapshot holds more chunks than the disk fits")
-    cache._disk = disk
-
-
 def _legacy_lfu_as_policy(state: dict) -> dict:
     """A legacy ``lfu`` snapshot as the ``policy:lfu`` one it equals.
 
@@ -267,13 +250,40 @@ def _legacy_lfu_as_policy(state: dict) -> dict:
         if (v, c) not in freq:
             raise ValueError(f"cached chunk {(v, c)} missing frequency state")
         cached.append([v, c, freq[(v, c)]])
-    header = ("version", "disk_chunks", "chunk_bytes", "alpha_f2r")
     policy = ("min_video_hits", "aging_interval", "handled", "video_hits", "freq")
+    return _as_policy(state, "lfu", {key: state[key] for key in policy}, cached)
+
+
+def _legacy_pull_lru_as_policy(state: dict) -> dict:
+    """A legacy ``pull-lru`` snapshot as the ``policy:pull-lru`` one it
+    equals.
+
+    The stored recency order is kept and each chunk is scored by its
+    access time: on a time-ordered trace, recency order is ascending
+    ``(access time, sequence)`` order.  A decreasing access time breaks
+    that, so it is refused, as the recency list it was dumped from
+    refused one.
+    """
+    cached = []
+    last = float("-inf")
+    for v, c, t in state["disk"]:
+        if t < last:
+            raise ValueError(
+                f"access time {t} of chunk {(v, c)} precedes {last}; "
+                "access times must be non-decreasing"
+            )
+        last = t
+        cached.append([v, c, t])
+    return _as_policy(state, "pull-lru", {}, cached)
+
+
+def _as_policy(state: dict, kind: str, policy_state: dict, cached: list) -> dict:
+    header = ("version", "disk_chunks", "chunk_bytes", "alpha_f2r")
     return {
         **{key: state[key] for key in header},
-        "kind": "policy:lfu",
-        "policy": "lfu",
-        "policy_state": {key: state[key] for key in policy},
+        "kind": f"policy:{kind}",
+        "policy": kind,
+        "policy_state": policy_state,
         "cached": cached,
     }
 
@@ -314,13 +324,17 @@ def _load_policy(cache: KernelCache, state: dict) -> None:
 _DUMPERS = {
     "xlru": _dump_xlru,
     "cafe": _dump_cafe,
-    "pull-lru": _dump_pull_lru,
 }
 _DUMPERS.update({tag: _dump_policy for tag in _policy_snapshot_kinds()})
 
 _LOADERS = {
     "xlru": _load_xlru,
     "cafe": _load_cafe,
-    "pull-lru": _load_pull_lru,
 }
 _LOADERS.update({tag: _load_policy for tag in _policy_snapshot_kinds()})
+
+#: legacy kind -> converter into the ``policy:<kind>`` snapshot it equals
+_LEGACY = {
+    "lfu": _legacy_lfu_as_policy,
+    "pull-lru": _legacy_pull_lru_as_policy,
+}

@@ -13,9 +13,11 @@ What to look for:
   PullLRU/LFU family at equal disk, while its fixed hit-count
   admission keeps ingress below PullLRU's;
 * **qLRU** (arXiv:1806.10853) — the ``q`` insertion position trades
-  scan resistance against recency reactivity; at ``q = 1`` the row
-  reproduces PullLRU exactly (differentially enforced), the default
-  ``q = 0.5`` lands between PullLRU and the admission-gated policies;
+  scan resistance against recency reactivity; at ``q = 1`` it
+  reproduces PullLRU on spans that fit the disk (for a larger span
+  qLRU re-scores the resident chunks and PullLRU does not), the
+  default ``q = 0.5`` lands between PullLRU and the admission-gated
+  policies;
 * neither new policy consults the cost model, so — like PullLRU —
   their points barely move with alpha, which is exactly the paper's
   argument for cost-aware admission (xLRU/Cafe comply with alpha and

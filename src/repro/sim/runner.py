@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.base import VideoCache
-from repro.core.baselines import BeladyCache, PullThroughLruCache
+from repro.core.baselines import BeladyCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
-from repro.core.lru_variants import GreedyDualSizeCache, LruKCache
+from repro.core.lru_variants import LruKCache
 from repro.core.policy import cache_factories as _policy_cache_factories
 from repro.core.policy import cache_factory as _policy_cache_factory
 from repro.core.psychic import PsychicCache
@@ -49,21 +49,20 @@ CACHE_FACTORIES: Dict[str, Callable[..., VideoCache]] = {
     "xLRU": XlruCache,
     "Cafe": CafeCache,
     "Psychic": PsychicCache,
-    "PullLRU": PullThroughLruCache,
     # the LFU-PK policy on the policy-kernel engine, under the
     # baseline's name: one production LFU
     "LFU": _policy_cache_factory("LFU-PK", name="LFU"),
     "Belady": BeladyCache,
     "LRU-K": LruKCache,
-    "GDS": GreedyDualSizeCache,
 }
 
 #: The paper's trio, in figure order (left-to-right bars of Figs. 4, 7).
 PAPER_ALGORITHMS = ("xLRU", "Cafe", "Psychic")
 
-# Registered policy kernels ride in through the registry: each entry is
-# a KernelCache factory carrying the offline/cost_sensitive attributes
-# the scheduler and equivalence suite read off factory values.
+# Registered policy kernels ride in through the registry, the PullLRU
+# and GDS baselines among them: each entry is a KernelCache factory
+# carrying the offline/cost_sensitive attributes the scheduler and
+# equivalence suite read off factory values.
 CACHE_FACTORIES.update(_policy_cache_factories())
 
 

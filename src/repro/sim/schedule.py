@@ -44,6 +44,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import struct
 import threading
 import time
 from contextlib import contextmanager
@@ -173,12 +174,18 @@ def _group_id(group: CellGroup) -> str:
 class SweepCheckpoint:
     """Append-only journal of completed sweep groups.
 
-    Each record is one pickled ``(version, fingerprint, group_id,
+    Each record is a 12-byte header (the magic ``RSCJ`` and the payload
+    length) followed by one pickled ``(version, fingerprint, group_id,
     results)`` tuple, appended (and fsync'd) the moment a group
     finishes — so the file only ever contains *fully completed* groups,
     plus possibly one truncated tail record if the writer was killed
     mid-append.  :meth:`load` tolerates that tail: it keeps every
-    intact record before it and discards the rest.
+    intact record before it.  The length prefix lets it step over a
+    record that no longer unpickles (its cache class was renamed or
+    deleted) and keep the records after it.  The first :meth:`append`
+    after a :meth:`load` cuts the file back to its intact records, so a
+    torn tail or a journal of an older format never hides the records
+    appended behind it.
 
     The fingerprint binds records to one specific sweep — the plan's
     group structure, the metrics interval and a cheap trace signature
@@ -193,10 +200,17 @@ class SweepCheckpoint:
     # Version 3: each ``ScoreHeap`` keeps an ``_anchor`` index, so a
     # version-2 record's pickled cache (Cafe, LFU-PK, ...) would load
     # without it and fail on its next call; such records are ignored.
-    VERSION = 3
+    # Version 4: records carry the length-prefixed header; a journal of
+    # bare pickles (versions 1-3) is ignored with a warning.
+    VERSION = 4
+    MAGIC = b"RSCJ"
+    _HEADER = struct.Struct(">4sQ")
 
     def __init__(self, path: "os.PathLike | str") -> None:
         self.path = os.fspath(path)
+        #: byte length of the intact records :meth:`load` found, which
+        #: the next :meth:`append` cuts the file back to
+        self._intact: Optional[int] = None
 
     @staticmethod
     def fingerprint(
@@ -227,42 +241,57 @@ class SweepCheckpoint:
     ) -> Dict[str, Dict[str, SimulationResult]]:
         """Completed groups matching ``fingerprint``: id -> results.
 
-        Missing file means a fresh run (empty dict).  A corrupt or
-        truncated tail — the normal aftermath of a killed sweep — stops
-        the scan; every record before it is returned.  ``log`` (an
-        :class:`~repro.obs.events.EventLog`) receives structured notes
-        about skipped records and corrupt tails.
+        Missing file means a fresh run (empty dict).  A record that
+        fails to unpickle is skipped with a warning and the scan goes
+        on.  A corrupt or truncated tail — the normal aftermath of a
+        killed sweep — stops the scan; every record before it is
+        returned.  A file that does not start with a record header (a
+        journal of versions 1-3) is ignored with a warning.  ``log``
+        (an :class:`~repro.obs.events.EventLog`) receives structured
+        notes about skipped records and corrupt tails.
         """
         try:
             stream = open(self.path, "rb")
         except (FileNotFoundError, IsADirectoryError, PermissionError):
             return {}
         records: Dict[str, Dict[str, SimulationResult]] = {}
+        header = self._HEADER
         with stream:
-            while True:
-                try:
-                    record = pickle.load(stream)
-                except EOFError:
+            size = os.fstat(stream.fileno()).st_size
+            end = 0
+            while end < size:
+                head = stream.read(header.size)
+                whole = len(head) == header.size
+                magic, length = header.unpack(head) if whole else (None, 0)
+                if whole and magic != self.MAGIC and end == 0:
+                    if log is not None:
+                        log.warning(
+                            "checkpoint-foreign-journal",
+                            f"{self.path}: not a version-{self.VERSION} "
+                            "journal; ignoring it",
+                        )
                     break
-                except Exception as exc:
+                if magic != self.MAGIC or length > size - end - header.size:
                     # truncated/corrupt tail: keep what is intact
                     if log is not None:
                         log.info(
                             "checkpoint-corrupt-tail",
                             f"{self.path}: discarding corrupt tail after "
-                            f"{len(records)} intact record(s) ({exc!r})",
-                        )
-                    break
-                try:
-                    version, fp, group_id, results = record
-                except (TypeError, ValueError):
-                    if log is not None:
-                        log.info(
-                            "checkpoint-corrupt-tail",
-                            f"{self.path}: malformed record after "
                             f"{len(records)} intact record(s)",
                         )
                     break
+                payload = stream.read(length)
+                end += header.size + length
+                try:
+                    version, fp, group_id, results = pickle.loads(payload)
+                except Exception as exc:
+                    if log is not None:
+                        log.warning(
+                            "checkpoint-bad-record",
+                            f"{self.path}: skipping a record that does not "
+                            f"load ({exc!r})",
+                        )
+                    continue
                 if version != self.VERSION or fp != fingerprint:
                     if log is not None:
                         log.debug(
@@ -272,6 +301,7 @@ class SweepCheckpoint:
                         )
                     continue
                 records[group_id] = results
+        self._intact = end
         return records
 
     def append(
@@ -281,12 +311,16 @@ class SweepCheckpoint:
         results: Dict[str, SimulationResult],
     ) -> None:
         """Persist one completed group (flushed to disk before return)."""
+        payload = pickle.dumps(
+            (self.VERSION, fingerprint, group_id, results),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         with open(self.path, "ab") as stream:
-            pickle.dump(
-                (self.VERSION, fingerprint, group_id, results),
-                stream,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+            if self._intact is not None:
+                stream.truncate(self._intact)
+                self._intact = None
+            stream.write(self._HEADER.pack(self.MAGIC, len(payload)))
+            stream.write(payload)
             stream.flush()
             os.fsync(stream.fileno())
 

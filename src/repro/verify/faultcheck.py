@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Algorithms exercised by default: the paper's online pair plus the
-#: pull-through baseline (cheap, and its heap-free state pickles fast).
+#: pull-through baseline (cheap: no admission state to replay).
 DEFAULT_ALGORITHMS = ("PullLRU", "xLRU", "Cafe")
 
 

@@ -708,16 +708,15 @@ def _future_term(iat: float, horizon: float) -> float:
 ORACLE_FACTORIES = {
     "xLRU": OracleXlru,
     "Cafe": OracleCafe,
-    "PullLRU": OraclePullLru,
     "LFU": OracleLfu,
     "LRU-K": OracleLruK,
-    "GDS": OracleGds,
 }
 
 # Registered policy kernels get the auto-derived OracleKernelCache —
 # the same policy object replayed on plain dicts and linear min-scans —
-# unless a hand-written oracle exists: LFU runs on the LFU-PK policy,
-# so OracleLfu is the oracle of both names.
+# unless a hand-written oracle exists: PullLRU, GDS and LFU run on
+# policy kernels, and keep oracles that share no code with them.  LFU
+# runs on the LFU-PK policy, so OracleLfu is the oracle of both names.
 ORACLE_FACTORIES.update(_policy_oracle_factories())
 
 
@@ -726,6 +725,8 @@ class _OracleLfuPk(OracleLfu):
 
 
 ORACLE_FACTORIES["LFU-PK"] = _OracleLfuPk
+ORACLE_FACTORIES["PullLRU"] = OraclePullLru
+ORACLE_FACTORIES["GDS"] = OracleGds
 
 
 def build_oracle(

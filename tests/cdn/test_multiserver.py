@@ -5,10 +5,11 @@ import pytest
 from repro.cdn.multiserver import CdnSimulator
 from repro.cdn.topology import hierarchy, peered_edges
 from repro.core.base import VideoCache, serve_response
-from repro.core.baselines import PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
+from repro.core.policy import KernelCache, policy_for
 from repro.core.xlru import XlruCache
+from repro.sim.runner import CACHE_FACTORIES
 from repro.trace.columnar import pack_trace
 from repro.trace.requests import Request
 
@@ -167,7 +168,7 @@ class TestOriginAccounting:
         # PullLRU edge always serves and fills; the xLRU parent
         # redirects every first-seen request, so the edge's fill is
         # pushed from the parent to the origin via the redirect map.
-        edges = {"e1": PullThroughLruCache(8, chunk_bytes=K)}
+        edges = {"e1": CACHE_FACTORIES["PullLRU"](8, chunk_bytes=K)}
         parent = XlruCache(64, chunk_bytes=K, cost_model=CostModel(1.0))
         return CdnSimulator(hierarchy(edges, parent))
 
@@ -200,11 +201,14 @@ class TestOriginAccounting:
         assert result.origin_bytes == K
 
 
-class OverReportingCache(PullThroughLruCache):
+class OverReportingCache(KernelCache):
     """Pull-through LRU that claims ten more filled chunks than it fetched."""
 
     # Every lane reaches handle_span through the per-request reference.
     handle_span_block_kernel = VideoCache.handle_span_block_kernel
+
+    def __init__(self, disk_chunks, chunk_bytes):
+        super().__init__(policy_for("PullLRU"), disk_chunks, chunk_bytes)
 
     def handle_span(self, t, video, b0, b1, c0, c1):
         response = super().handle_span(t, video, b0, b1, c0, c1)
@@ -220,7 +224,7 @@ class TestFillRequestClamp:
     chunks, on the object lane and on the packed lane alike."""
 
     @staticmethod
-    def replay_both_lanes(trace, cache_class=PullThroughLruCache):
+    def replay_both_lanes(trace, cache_class=CACHE_FACTORIES["PullLRU"]):
         """Replay ``trace`` at edge ``e1`` of a two-tier ``cache_class``
         hierarchy, once per lane."""
         results = []

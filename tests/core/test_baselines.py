@@ -1,12 +1,12 @@
 """Tests for the classic baselines (pull-through LRU, LFU, Belady).
 
-LFU runs on the policy-kernel engine; its tests build it by name, the
-way every caller does.
+PullLRU and LFU run on the policy-kernel engine; their tests build them
+by name, the way every caller does.
 """
 
 import pytest
 
-from repro.core.baselines import BeladyCache, PullThroughLruCache
+from repro.core.baselines import BeladyCache
 from repro.core.base import Decision
 from repro.core.costs import CostModel
 from repro.core.cafe import CafeCache
@@ -24,14 +24,14 @@ def req(t, video, c0, c1=None):
 
 class TestPullThroughLru:
     def test_always_serves(self):
-        cache = PullThroughLruCache(4, chunk_bytes=K)
+        cache = build_cache("PullLRU", 4, chunk_bytes=K)
         for i in range(20):
             response = cache.handle(req(float(i), i, 0))
             assert response.decision is Decision.SERVE
             assert response.filled_chunks == 1
 
     def test_lru_eviction(self):
-        cache = PullThroughLruCache(2, chunk_bytes=K)
+        cache = build_cache("PullLRU", 2, chunk_bytes=K)
         cache.handle(req(0.0, 1, 0))
         cache.handle(req(1.0, 2, 0))
         cache.handle(req(2.0, 1, 0))  # refresh 1
@@ -40,19 +40,19 @@ class TestPullThroughLru:
         assert (2, 0) not in cache
 
     def test_oversize_request_redirected(self):
-        cache = PullThroughLruCache(2, chunk_bytes=K)
+        cache = build_cache("PullLRU", 2, chunk_bytes=K)
         assert cache.handle(req(0.0, 1, 0, 5)).decision is Decision.REDIRECT
 
     def test_unbounded_ingress_hurts_at_high_alpha(self, small_trace):
         """The Section 2 argument: cache-all cannot respect alpha > 1."""
-        pull = PullThroughLruCache(128, cost_model=CostModel(4.0))
+        pull = build_cache("PullLRU", 128, alpha_f2r=4.0)
         cafe = CafeCache(128, cost_model=CostModel(4.0))
         pull_eff = replay(pull, small_trace).steady.efficiency
         cafe_eff = replay(cafe, small_trace).steady.efficiency
         assert cafe_eff > pull_eff + 0.1
 
     def test_zero_redirects(self, small_trace):
-        cache = PullThroughLruCache(128, cost_model=CostModel(1.0))
+        cache = build_cache("PullLRU", 128, alpha_f2r=1.0)
         totals = replay(cache, small_trace).totals
         assert totals.redirected_bytes == 0
 
@@ -148,7 +148,7 @@ class TestBelady:
         """Optimal replacement never fills more than LRU replacement."""
         trace = small_trace[:1500]
         belady = BeladyCache(64, cost_model=CostModel(1.0))
-        lru = PullThroughLruCache(64, cost_model=CostModel(1.0))
+        lru = build_cache("PullLRU", 64, alpha_f2r=1.0)
         belady_fills = replay(belady, trace).totals.filled_chunks
         lru_fills = replay(lru, trace).totals.filled_chunks
         assert belady_fills <= lru_fills

@@ -7,10 +7,16 @@ Golden pins:
   object lane, the hoisted block lane, and the vectorized kernel lane —
   outcomes, frequencies, hit counts, the aging cursor and the cached
   set in eviction order;
+* the PullLRU and GDS ports are byte-identical to the hand-written
+  :class:`~repro.verify.oracles.OraclePullLru` and
+  :class:`~repro.verify.oracles.OracleGds` on the same three lanes,
+  oversized spans included — outcomes, the cached set in eviction
+  order and GDS's inflation ``L``;
 * tunable LRU at ``q = 1`` collapses to PullLRU on oversize-free
   traces (the insertion position degenerates to the most-recent end;
-  oversize handling legitimately differs: the pipeline walks chunks
-  before the size check, PullLRU checks first);
+  oversize handling legitimately differs: the pipeline re-scores a
+  span's resident chunks before the size check, and PullLRU opts out
+  of that re-score for a span larger than the disk);
 * retention-aware scoring keeps early chunks over deep chunks under
   eviction pressure (the arXiv:1512.03274 behaviour the policy exists
   for).
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.costs import CostModel
 from repro.core.policy import (
     POLICY_REGISTRY,
     KernelCache,
@@ -42,7 +49,7 @@ from repro.trace.columnar import pack_trace
 from repro.trace.requests import Request
 from repro.verify.differential import KERNEL_ALGORITHMS, verify_algorithm
 from repro.verify.fuzz import FuzzScenario, adversarial_trace
-from repro.verify.oracles import ORACLE_FACTORIES, OracleLfu
+from repro.verify.oracles import ORACLE_FACTORIES, OracleGds, OracleLfu, OraclePullLru
 
 from tests.core.test_kernel_lane import replay_kernel, replay_scalar_blocks
 
@@ -99,6 +106,73 @@ def test_lfu_port_byte_identical_block_and_kernel_lanes(block):
     for port in (walker, kernel):
         assert len(port) == len(oracle)
         assert_same_lfu_state(port, oracle)
+
+
+# -- golden ports: PullLRU and GDS vs their hand-written oracles ---------------
+
+
+def assert_same_pull_lru_state(port, oracle):
+    """The cached set in eviction order: the oracle's recency order."""
+    assert [chunk for chunk, _t in port._cached.items_ascending()] == sorted(
+        oracle._disk, key=oracle._disk.get
+    )
+
+
+def assert_same_gds_state(port, oracle):
+    """The inflation ``L`` and the cached set in ascending
+    ``(score, seq)`` order, scores included."""
+    assert port.policy.inflation == oracle._inflation
+    ranked = sorted(oracle._cached.items(), key=lambda item: item[1])
+    assert list(port._cached.items_ascending()) == [
+        (chunk, score) for chunk, (score, _seq) in ranked
+    ]
+
+
+BASELINE_PORTS = {
+    "PullLRU": (OraclePullLru, assert_same_pull_lru_state),
+    "GDS": (OracleGds, assert_same_gds_state),
+}
+
+
+def _baseline_pair(name, disk, alpha):
+    oracle_cls, same_state = BASELINE_PORTS[name]
+    oracle = oracle_cls(disk, chunk_bytes=K, cost_model=CostModel(alpha))
+    return oracle, same_state
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_PORTS))
+@pytest.mark.parametrize("seed,disk,alpha", [(61, 4, 1.0), (62, 8, 2.0), (63, 2, 0.5)])
+def test_baseline_port_byte_identical_object_lane(name, seed, disk, alpha):
+    trace = adversarial_trace(seed=seed, num_requests=600, disk_chunks=disk)
+    assert any(r.num_chunks(K) > disk for r in trace)  # oversized spans on
+    oracle, same_state = _baseline_pair(name, disk, alpha)
+    port = build_cache(name, disk, alpha_f2r=alpha, chunk_bytes=K)
+    for r in trace:
+        a = oracle.handle(r)
+        b = port.handle(r)
+        assert _outcomes([a]) == _outcomes([b]), r
+        assert len(oracle) == len(port)
+    same_state(port, oracle)
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_PORTS))
+@pytest.mark.parametrize("block", [1, 33, 256])
+def test_baseline_port_byte_identical_block_and_kernel_lanes(name, block):
+    trace = adversarial_trace(seed=71, num_requests=600, disk_chunks=6)
+    assert any(r.num_chunks(K) > 6 for r in trace)  # oversized spans on
+    packed = pack_trace(trace, chunk_bytes=K)
+    oracle, same_state = _baseline_pair(name, 6, 2.0)
+    walker = build_cache(name, 6, alpha_f2r=2.0, chunk_bytes=K)
+    kernel = build_cache(name, 6, alpha_f2r=2.0, chunk_bytes=K)
+    want = replay_scalar_blocks(oracle, packed, block)
+    got_walk = replay_scalar_blocks(walker, packed, block)
+    got_kernel, misses_ok = replay_kernel(kernel, packed, block)
+    assert got_walk == want
+    assert got_kernel == want
+    assert misses_ok
+    for port in (walker, kernel):
+        assert len(port) == len(oracle)
+        same_state(port, oracle)
 
 
 # -- qLRU degenerates to PullLRU at q = 1 --------------------------------------

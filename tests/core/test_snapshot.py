@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.baselines import PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
 from repro.core.psychic import PsychicCache
@@ -55,21 +54,24 @@ class TestRegistry:
     def test_registry_covers_hand_written_and_policy_kinds(self):
         from repro.core.policy import POLICY_REGISTRY
 
-        expected = {"xlru", "cafe", "pull-lru"} | {
+        expected = {"xlru", "cafe"} | {
             f"policy:{spec.kind}" for spec in POLICY_REGISTRY.values()
         }
         assert set(SNAPSHOT_KINDS) == expected
 
     def test_supports_snapshot(self):
         assert supports_snapshot(XlruCache(8, chunk_bytes=K))
-        assert supports_snapshot(PullThroughLruCache(8, chunk_bytes=K))
+        assert supports_snapshot(build_cache("PullLRU", 8, chunk_bytes=K))
+        assert supports_snapshot(build_cache("GDS", 8, chunk_bytes=K))
         assert supports_snapshot(build_cache("LFU", 8, chunk_bytes=K))
         assert not supports_snapshot(PsychicCache(8))
 
     def test_kind_tags(self):
-        assert snapshot_kind(PullThroughLruCache(8, chunk_bytes=K)) == "pull-lru"
-        # LFU runs on the policy-kernel engine; legacy "lfu" snapshots
-        # load through tests/core/test_snapshot_fixtures.py
+        # PullLRU, GDS and LFU run on the policy-kernel engine; legacy
+        # "pull-lru" and "lfu" snapshots load through
+        # tests/core/test_snapshot_fixtures.py
+        assert snapshot_kind(build_cache("PullLRU", 8, chunk_bytes=K)) == "policy:pull-lru"
+        assert snapshot_kind(build_cache("GDS", 8, chunk_bytes=K)) == "policy:gds"
         assert snapshot_kind(build_cache("LFU", 8, chunk_bytes=K)) == "policy:lfu"
 
 
@@ -184,33 +186,37 @@ class TestCafeRoundtrip:
 
 class TestPullLruRoundtrip:
     def test_contents_restored(self, warm_trace):
-        original = warm(PullThroughLruCache(64), warm_trace)
-        restored = PullThroughLruCache(64)
+        original = warm(build_cache("PullLRU", 64), warm_trace)
+        restored = build_cache("PullLRU", 64)
         load_state_dict(restored, state_dict(original))
         assert len(restored) == len(original)
-        assert list(restored._disk.items()) == list(original._disk.items())
+        assert list(restored._cached.items_ascending()) == list(
+            original._cached.items_ascending()
+        )
 
     def test_decisions_continue_identically(self, warm_trace, continuation):
-        original = warm(PullThroughLruCache(64), warm_trace)
-        restored = PullThroughLruCache(64)
+        original = warm(build_cache("PullLRU", 64), warm_trace)
+        restored = build_cache("PullLRU", 64)
         load_state_dict(restored, state_dict(original))
         continue_identically(original, restored, continuation)
 
     def test_json_file_roundtrip(self, tmp_path, warm_trace):
-        original = warm(PullThroughLruCache(64), warm_trace)
+        original = warm(build_cache("PullLRU", 64), warm_trace)
         path = tmp_path / "pull-lru.json"
         save_snapshot(original, path)
-        restored = PullThroughLruCache(64)
+        restored = build_cache("PullLRU", 64)
         load_snapshot(restored, path)
-        assert list(restored._disk.items()) == list(original._disk.items())
+        assert list(restored._cached.items_ascending()) == list(
+            original._cached.items_ascending()
+        )
 
     def test_oversized_snapshot_rejected(self, warm_trace):
-        original = warm(PullThroughLruCache(64), warm_trace)
+        original = warm(build_cache("PullLRU", 64), warm_trace)
         state = state_dict(original)
         state["disk_chunks"] = 2
         with pytest.raises(ValueError):
             load_state_dict(
-                PullThroughLruCache(2, chunk_bytes=original.chunk_bytes), state
+                build_cache("PullLRU", 2, chunk_bytes=original.chunk_bytes), state
             )
 
 

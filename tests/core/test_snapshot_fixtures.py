@@ -1,13 +1,15 @@
 """Persisted state written by earlier versions keeps loading.
 
 ``tests/fixtures/snapshots/`` holds one snapshot per kind a release has
-written — ``xlru``, ``cafe``, ``pull-lru``, the legacy ``lfu`` of the
-retired hand-fused LFU cache, and ``policy:<kind>`` for each registered
-policy — each with the request tail that followed it and the outcome
-that version gave for every request of the tail.
-``tests/fixtures/serve_lfu/`` is an LFU ``repro-serve`` snapshot
-directory (manifest plus one payload whose cache state is a legacy
-``lfu`` snapshot); ``serve_lfu_tail.json`` holds its continuation.
+written — ``xlru``, ``cafe``, the legacy ``lfu`` and ``pull-lru`` of
+the retired hand-fused LFU and PullLRU caches, and ``policy:<kind>``
+for each registered policy — each with the request tail that followed
+it and the outcome that version gave for every request of the tail.
+``tests/fixtures/serve_lfu/`` and ``serve_pull_lru/`` are LFU and
+PullLRU ``repro-serve`` snapshot directories (manifest plus one payload
+whose cache state is a legacy ``lfu`` or ``pull-lru`` snapshot);
+``serve_lfu_tail.json`` and ``serve_pull_lru_tail.json`` hold their
+continuations.
 
 Loading a fixture into today's code must continue exactly as the
 version that wrote it did.  A format change that cannot do that must
@@ -60,7 +62,7 @@ def _outcomes(responses):
 
 def test_fixtures_cover_every_kind_and_the_legacy_lfu_kind():
     kinds = {_load(path)["kind"] for path in SNAPSHOTS}
-    assert kinds == set(SNAPSHOT_KINDS) | {"lfu"}
+    assert kinds == set(SNAPSHOT_KINDS) | {"lfu", "pull-lru"}
 
 
 @pytest.mark.parametrize("path", SNAPSHOTS, ids=lambda p: p.stem)
@@ -107,10 +109,35 @@ def test_legacy_lfu_snapshot_refuses_mismatched_knobs():
         _restored(doc)
 
 
+def test_legacy_pull_lru_snapshot_loads_as_policy_pull_lru():
+    doc = _load(FIXTURES / "snapshots" / "pull-lru.json")
+    state = state_dict(_restored(doc))
+    assert state["kind"] == "policy:pull-lru"
+    assert state["policy_state"] == {}
+    # recency order kept, each chunk scored by its access time
+    assert state["cached"] == doc["snapshot"]["disk"]
+
+
+def test_legacy_pull_lru_snapshot_refuses_a_decreasing_access_time():
+    doc = _load(FIXTURES / "snapshots" / "pull-lru.json")
+    disk = doc["snapshot"]["disk"]
+    disk[-1][2] = disk[0][2] - 1.0
+    with pytest.raises(ValueError, match="non-decreasing"):
+        _restored(doc)
+
+
 def test_lfu_serve_snapshot_directory_resumes_warm(tmp_path):
-    tail = _load(FIXTURES / "serve_lfu_tail.json")
+    _resume_serve_fixture(tmp_path, "serve_lfu")
+
+
+def test_pull_lru_serve_snapshot_directory_resumes_warm(tmp_path):
+    _resume_serve_fixture(tmp_path, "serve_pull_lru")
+
+
+def _resume_serve_fixture(tmp_path, name):
+    tail = _load(FIXTURES / f"{name}_tail.json")
     snapshot_dir = tmp_path / "snapshots"
-    shutil.copytree(FIXTURES / "serve_lfu", snapshot_dir)
+    shutil.copytree(FIXTURES / name, snapshot_dir)
     events = EventLog()
     service = DecisionService(
         ServeConfig(**tail["config"], snapshot_dir=str(snapshot_dir)), events=events

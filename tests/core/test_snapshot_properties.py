@@ -14,7 +14,6 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.baselines import PullThroughLruCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
 from repro.core.policy import POLICY_REGISTRY, KernelCache
@@ -36,12 +35,12 @@ DISK = 10
 _BUILDERS = {
     "xlru": lambda: XlruCache(DISK, chunk_bytes=K, cost_model=CostModel(2.0)),
     "cafe": lambda: CafeCache(DISK, chunk_bytes=K, cost_model=CostModel(2.0)),
-    "pull-lru": lambda: PullThroughLruCache(DISK, chunk_bytes=K),
 }
 
 # Every registered policy kernel joins the cut-point property via the
 # generic KernelCache snapshot path — a new plugin is covered with no
-# edit here.  LFU is the LFU-PK policy, so ``policy:lfu`` covers it.
+# edit here.  LFU is the LFU-PK policy, so ``policy:lfu`` covers it, as
+# ``policy:pull-lru`` covers PullLRU.
 # Stress kwargs keep the housekeeping paths (LFU-PK aging) inside
 # hypothesis-sized traces.
 _POLICY_KWARGS = {"LFU-PK": {"aging_interval": 20}}

@@ -14,7 +14,7 @@ import pytest
 
 import repro.sim.engine as engine_module
 from repro.obs import Telemetry, TelemetryOptions
-from repro.obs.probes import CacheProbe, CafeProbe, XlruProbe, probe_for
+from repro.obs.probes import CacheProbe, CafeProbe, PolicyProbe, XlruProbe, probe_for
 from repro.sim.engine import MultiReplay, replay
 from repro.sim.runner import CACHE_FACTORIES, RunConfig
 from repro.sim.schedule import SweepScheduler
@@ -171,8 +171,18 @@ class TestProbeCapture:
     def test_probe_dispatch(self):
         assert isinstance(probe_for(CACHE_FACTORIES["xLRU"](8)), XlruProbe)
         assert isinstance(probe_for(CACHE_FACTORIES["Cafe"](8)), CafeProbe)
-        probe = probe_for(CACHE_FACTORIES["PullLRU"](8))
-        assert type(probe) is CacheProbe
+        # PullLRU runs on the policy-kernel engine, so its lanes count
+        # serves, redirects, fills and evictions like every policy's
+        assert type(probe_for(CACHE_FACTORIES["PullLRU"](8))) is PolicyProbe
+        assert type(probe_for(CACHE_FACTORIES["Belady"](8))) is CacheProbe
+
+    def test_pull_lru_probe_counts_outcomes(self, small_trace):
+        telemetry = Telemetry(TelemetryOptions(snapshot_every=0))
+        replay(CACHE_FACTORIES["PullLRU"](64), small_trace, telemetry=telemetry)
+        counters = telemetry.lanes["PullLRU"].registry.counters
+        assert counters["serve"] + counters.get("redirect", 0) == len(small_trace)
+        assert counters["fill_chunks"] > 0
+        assert counters["evict_chunks"] > 0
 
 
 class TestSchedulerTelemetry:

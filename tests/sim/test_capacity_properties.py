@@ -2,8 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.baselines import PullThroughLruCache
 from repro.sim.capacity import EgressCapacityGate
+from repro.sim.runner import build_cache
 from repro.trace.requests import Request
 
 K = 1024
@@ -29,7 +29,7 @@ def bursty_trace(draw):
 )
 def test_served_volume_never_exceeds_token_supply(trace, rate, burst):
     """Served bytes <= initial bucket + rate x elapsed, at every prefix."""
-    cache = PullThroughLruCache(256, chunk_bytes=K)
+    cache = build_cache("PullLRU", 256, chunk_bytes=K)
     gate = EgressCapacityGate(
         cache, egress_bytes_per_second=rate, burst_seconds=burst
     )
@@ -48,8 +48,8 @@ def test_served_volume_never_exceeds_token_supply(trace, rate, burst):
 @given(trace=bursty_trace())
 def test_unbounded_gate_is_transparent(trace):
     """With capacity far above demand the gate changes nothing."""
-    plain = PullThroughLruCache(256, chunk_bytes=K)
-    gated_cache = PullThroughLruCache(256, chunk_bytes=K)
+    plain = build_cache("PullLRU", 256, chunk_bytes=K)
+    gated_cache = build_cache("PullLRU", 256, chunk_bytes=K)
     gate = EgressCapacityGate(
         gated_cache, egress_bytes_per_second=1e12, burst_seconds=60.0
     )

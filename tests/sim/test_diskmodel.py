@@ -5,10 +5,10 @@ import math
 import pytest
 
 from repro.core.cafe import CafeCache
-from repro.core.baselines import PullThroughLruCache
 from repro.core.costs import CostModel
 from repro.sim.diskmodel import DiskModel, analyze_disk_load
 from repro.sim.engine import replay
+from repro.sim.runner import build_cache
 
 
 class TestDiskModel:
@@ -84,7 +84,7 @@ class TestSection2Argument:
             replay(CafeCache(256, cost_model=CostModel(2.0)), medium_trace), model
         )
         pull = analyze_disk_load(
-            replay(PullThroughLruCache(256, cost_model=CostModel(2.0)), medium_trace),
+            replay(build_cache("PullLRU", 256, alpha_f2r=2.0), medium_trace),
             model,
         )
         assert cafe.reads_lost_to_writes < 0.5 * pull.reads_lost_to_writes
@@ -95,7 +95,7 @@ class TestSection2Argument:
             CafeCache(256, cost_model=CostModel(2.0)), medium_trace
         )
         pull_result = replay(
-            PullThroughLruCache(256, cost_model=CostModel(2.0)), medium_trace
+            build_cache("PullLRU", 256, alpha_f2r=2.0), medium_trace
         )
         # provision to Cafe's peak with 10% headroom
         probe = DiskModel(read_blocks_per_second=1.0)

@@ -1,10 +1,13 @@
 """Tests for the sweep scheduler: planning, execution, parallelism."""
 
 import os
+import pickle
+import sys
 import time
 
 import pytest
 
+from repro.core.policy import KernelCache, policy_for
 from repro.sim.runner import RunConfig
 from repro.sim.schedule import (
     CHECKPOINT_ENV,
@@ -13,6 +16,22 @@ from repro.sim.schedule import (
     SweepScheduler,
     resolve_workers,
 )
+from repro.trace.requests import DEFAULT_CHUNK_BYTES
+
+
+class ModulePullLRU(KernelCache):
+    """The registry's PullLRU as a class of this module, which a test
+    may delete or make unpicklable."""
+
+    cost_sensitive = False  # read off the factory: alpha cells collapse
+
+    def __init__(self, disk_chunks, chunk_bytes=DEFAULT_CHUNK_BYTES, cost_model=None):
+        super().__init__(policy_for("PullLRU"), disk_chunks, chunk_bytes, cost_model)
+
+
+class UnpicklablePullLRU(ModulePullLRU):
+    def __getstate__(self):
+        raise TypeError("live file handle cannot be pickled")
 
 
 def _matrix(algorithms, alphas, disk=64):
@@ -163,12 +182,7 @@ class TestExecution:
     def test_unpicklable_primary_degrades_to_dedicated_replay(
         self, small_trace, monkeypatch
     ):
-        from repro.core.baselines import PullThroughLruCache
         from repro.sim.runner import CACHE_FACTORIES
-
-        class UnpicklablePullLRU(PullThroughLruCache):
-            def __getstate__(self):
-                raise TypeError("live file handle cannot be pickled")
 
         monkeypatch.setitem(
             CACHE_FACTORIES, "UnpicklablePullLRU", UnpicklablePullLRU
@@ -190,12 +204,7 @@ class TestExecution:
     def test_unpicklable_primary_with_spent_generator_raises(
         self, small_trace, monkeypatch
     ):
-        from repro.core.baselines import PullThroughLruCache
         from repro.sim.runner import CACHE_FACTORIES
-
-        class UnpicklablePullLRU(PullThroughLruCache):
-            def __getstate__(self):
-                raise TypeError("live file handle cannot be pickled")
 
         monkeypatch.setitem(
             CACHE_FACTORIES, "UnpicklablePullLRU", UnpicklablePullLRU
@@ -544,6 +553,65 @@ class TestCheckpoint:
         for key in fresh:
             assert recomputed[key].totals == fresh[key].totals
             assert recomputed[key].steady == fresh[key].steady
+
+    def test_record_that_no_longer_loads_is_skipped(
+        self, small_trace, tmp_path, monkeypatch
+    ):
+        """A record whose pickled cache class is gone (renamed or deleted
+        since it was written) is skipped with a warning; the intact
+        records after it still resume."""
+        from repro.sim.runner import CACHE_FACTORIES
+
+        trace = small_trace[:300]
+        path = tmp_path / "sweep.ckpt"
+        configs = [
+            RunConfig("xLRU", 64, 1.0, label="x"),
+            RunConfig("Vanishing", 64, 1.0, label="v"),
+            RunConfig("Cafe", 64, 1.0, label="c"),
+        ]
+        monkeypatch.setitem(CACHE_FACTORIES, "Vanishing", ModulePullLRU)
+        first = SweepScheduler(mode="cells", checkpoint=path).run(configs, trace)
+        # the class is deleted; the algorithm name now builds the
+        # registry's PullLRU
+        monkeypatch.delattr(sys.modules[__name__], "ModulePullLRU")
+        monkeypatch.setitem(CACHE_FACTORIES, "Vanishing", CACHE_FACTORIES["PullLRU"])
+        scheduler = SweepScheduler(mode="cells", checkpoint=path)
+        with pytest.warns(RuntimeWarning, match="does not load"):
+            second = scheduler.run(configs, trace)
+        assert scheduler.last_report.extra["resumed_groups"] == 2
+        warnings = [e.tag for e in scheduler.events.records if e.level == "warning"]
+        assert warnings == ["checkpoint-bad-record"]
+        for key in first:
+            assert second[key].totals == first[key].totals
+
+    def test_version_3_journal_is_ignored_with_a_warning(self, small_trace, tmp_path):
+        """A journal of bare pickled records (versions 1-3) has no record
+        headers: it is ignored with a warning, and the first record
+        appended replaces it, so the next run resumes."""
+        trace = small_trace[:300]
+        path = tmp_path / "sweep.ckpt"
+        with open(path, "wb") as fh:
+            pickle.dump((3, "fingerprint", "group", {}), fh)
+        scheduler = SweepScheduler(mode="serial", checkpoint=path)
+        with pytest.warns(RuntimeWarning, match="not a version-4 journal"):
+            scheduler.run(self._configs(), trace)
+        assert "resumed_groups" not in scheduler.last_report.extra
+        resumed = SweepScheduler(mode="serial", checkpoint=path)
+        resumed.run(self._configs(), trace)
+        assert resumed.last_report.extra["resumed_groups"] == 2
+
+    def test_torn_tail_is_cut_before_the_next_append(self, small_trace, tmp_path):
+        """Records appended after a torn tail stay reachable."""
+        trace = small_trace[:300]
+        path = tmp_path / "sweep.ckpt"
+        configs = self._configs()
+        SweepScheduler(mode="serial", checkpoint=path).run(configs[:1], trace)
+        with open(path, "ab") as fh:
+            fh.write(SweepCheckpoint.MAGIC + b"\x00\x00\x00\x00\x00\x01torn")
+        SweepScheduler(mode="serial", checkpoint=path).run(configs, trace)
+        resumed = SweepScheduler(mode="serial", checkpoint=path)
+        resumed.run(configs, trace)
+        assert resumed.last_report.extra["resumed_groups"] == 2
 
     def test_env_knob_sets_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "env.ckpt"

@@ -12,10 +12,10 @@ from repro import (
     CafeCache,
     CostModel,
     PsychicCache,
-    PullThroughLruCache,
     XlruCache,
     replay,
 )
+from repro.sim.runner import CACHE_FACTORIES
 
 DISK = 256
 
@@ -32,7 +32,7 @@ class TestHeadlineOrdering:
     def at_alpha2(self, medium_trace):
         return {
             cls.name: run(cls, medium_trace, 2.0)
-            for cls in (XlruCache, CafeCache, PsychicCache, PullThroughLruCache)
+            for cls in (XlruCache, CafeCache, PsychicCache, CACHE_FACTORIES["PullLRU"])
         }
 
     def test_cafe_beats_xlru_clearly(self, at_alpha2):

@@ -16,10 +16,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.baselines import BeladyCache, PullThroughLruCache
+from repro.core.baselines import BeladyCache
 from repro.core.cafe import CafeCache
 from repro.core.costs import CostModel
-from repro.core.lru_variants import GreedyDualSizeCache, LruKCache
+from repro.core.lru_variants import LruKCache
 from repro.core.psychic import PsychicCache
 from repro.core.xlru import XlruCache
 from repro.sim.engine import replay
@@ -34,10 +34,11 @@ ALL_CACHE_CLASSES = [
     CafeCache,
     PsychicCache,
     BeladyCache,
-    PullThroughLruCache,
-    CACHE_FACTORIES["LFU"],  # the LFU policy on the kernel engine
+    # PullLRU, LFU and GDS run as policies on the kernel engine
+    CACHE_FACTORIES["PullLRU"],
+    CACHE_FACTORIES["LFU"],
     LruKCache,
-    GreedyDualSizeCache,
+    CACHE_FACTORIES["GDS"],
 ]
 
 
