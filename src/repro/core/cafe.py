@@ -36,6 +36,12 @@ Implementation notes beyond the paper's text (documented substitutions):
 * During warm-up (disk not full) the cache age — and therefore ``T`` —
   is unbounded, which makes the cache admit any content with request
   history while free space remains, consistent with xLRU's warm-up.
+
+Two entries make the same decisions (DESIGN.md §12):
+:meth:`CafeCache.handle_span_block_kernel`, the hoisted block walk every
+block lane runs, and :meth:`CafeCache.handle_span`, the per-request
+reference it is checked against (the object lane, ``REPRO_NO_KERNELS``).
+``OracleCafe`` in :mod:`repro.verify.oracles` checks both.
 """
 
 from __future__ import annotations
@@ -139,7 +145,8 @@ class CafeCache(VideoCache):
     def handle_span(
         self, t: float, video: int, b0: int, b1: int, c0: int, c1: int
     ) -> CacheResponse:
-        """Cafe's one decision path, for every lane.
+        """Cafe's per-request reference decision, the one the block walk
+        (:meth:`handle_span_block_kernel`) is checked against.
 
         Exact shortcuts over the plain reading of Eqs. 6-9 (DESIGN.md
         §12 gives each one's argument): one sibling scan per request for
@@ -300,6 +307,226 @@ class CafeCache(VideoCache):
                 probe.on_fill(now, chunk)
             probe.on_serve(now, len(missing), len(victims))
         return serve_response(len(missing), len(victims))
+
+    def handle_span_block_kernel(self, block) -> "tuple[list, list]":
+        """Hoisted block walk: :meth:`handle_span` per request, with
+        Cafe's state and cost constants bound once per block.
+
+        It makes the reference's decisions, mutations and probe hook
+        calls in the same order, with Eq. 8, the ``T / IAT`` term, the
+        cache age and the ghost bookkeeping inlined.  One step differs
+        in how, not in what: victims are taken out of the heap with
+        :meth:`~repro.structures.scoreheap.ScoreHeap.take_n_smallest`,
+        priced, and put back only on a redirect, so an evicted chunk
+        costs one pop instead of a peek, a ``remove`` and a later stale
+        pop.  A take followed by a put-back leaves every later read of
+        the heap as ``n_smallest`` leaves it (DESIGN.md §12).  Ghost
+        refreshes write the ghost dict directly; the list's time guard
+        is advanced once, after the block, to the last time the
+        reference would have touched it.  Cafe has no numpy screen, so
+        a vectorized view runs the same walk.
+        """
+        probe = self.probe
+        stats = self._stats
+        get = stats.get
+        spop = stats.pop
+        gamma = stats.gamma
+        gamma1 = 1.0 - gamma
+        cached = self._cached
+        index = cached.raw_index()
+        insert = cached.insert
+        take = cached.take_n_smallest
+        put_back = cached.put_back
+        min_item = cached.min_item
+        ghosts = self._ghosts
+        gentries = ghosts.raw_entries()
+        gpop = gentries.pop
+        video_chunks = self._video_chunks
+        cost_model = self.cost_model
+        fill_cost = cost_model.fill_cost
+        redirect_cost = cost_model.redirect_cost
+        future_unit = cost_model.future_cost
+        disk_chunks = self.disk_chunks
+        fixed_horizon = self._horizon
+        use_video = self._use_video_estimate
+        keep_ghosts = self._max_ghosts > 0
+        # the time of the block's last ghost-list touch, for the guard
+        touched = None
+        responses: list = []
+        append = responses.append
+        misses: list = []
+        miss = misses.append
+        i = -1
+        for now, video, c0, c1 in zip(block.ts_l, block.videos_l, block.c0s_l, block.c1s_l):
+            i += 1
+            # Record walk (Eq. 8 fold, Eq. 9 re-key), as in handle_span.
+            missing = []
+            for c in range(c0, c1 + 1):
+                chunk = (video, c)
+                state = get(chunk)
+                if state is None:
+                    state = stats[chunk] = EwmaIat(_INF, now)
+                else:
+                    dt = state.dt
+                    if isinf(dt):
+                        state.dt = now - state.t_last
+                    else:
+                        state.dt = gamma * (now - state.t_last) + gamma1 * dt
+                    state.t_last = now
+                if chunk in index:
+                    dt = state.dt
+                    insert(chunk, -_INF if isinf(dt) else gamma * now - gamma1 * dt)
+                else:
+                    missing.append(chunk)
+                    if chunk in gentries:
+                        del gentries[chunk]
+                        gentries[chunk] = touched = now
+
+            if c1 - c0 >= disk_chunks:
+                reason = "oversized"
+            elif not missing:
+                if probe is not None:
+                    probe.on_serve(now, 0, 0)
+                append(SERVE_HIT)
+                continue
+            else:
+                reason = "cost"
+                if fixed_horizon is not None:
+                    horizon = fixed_horizon
+                elif len(index) < disk_chunks:
+                    horizon = _INF
+                else:
+                    state = get(min_item()[0])
+                    if state is None or isinf(state.dt):
+                        horizon = _INF
+                    else:
+                        horizon = gamma * (now - state.t_last) + gamma1 * state.dt
+                unbounded = isinf(horizon)
+
+                # E[redirect] (Eq. 7); a term is T / max(IAT, 1e-9) scaled
+                # by min(C_F, C_R), and nothing for an infinite IAT.
+                cost_redirect = (c1 - c0 + 1) * redirect_cost
+                siblings = video_chunks.get(video)
+                scan = None
+                for chunk in missing:
+                    state = stats[chunk]
+                    dt = state.dt
+                    if isinf(dt):
+                        iat = _INF
+                        source = "cold"
+                        if use_video and siblings:
+                            if scan is None:
+                                scan = _worst_sibling(stats, index, video, siblings, now)
+                            iat = scan[0]
+                            if not isinf(iat):
+                                source = "video"
+                    else:
+                        iat = gamma * (now - state.t_last) + gamma1 * dt
+                        source = "own"
+                    if probe is not None:
+                        probe.on_iat_estimate(source)
+                    if not isinf(iat):
+                        cost_redirect += (
+                            _INF if unbounded else horizon / (1e-9 if 1e-9 > iat else iat)
+                        ) * future_unit
+
+                # E[serve] (Eq. 6), from victims taken out of the heap.
+                cost_serve = len(missing) * fill_cost
+                if probe is not None or not cost_serve > cost_redirect:
+                    n_evict = len(missing) - (disk_chunks - len(index))
+                    if n_evict > 0:
+                        victims = take(
+                            n_evict,
+                            {(video, c) for c in range(c0, c1 + 1)}
+                            if len(missing) <= c1 - c0
+                            else None,
+                        )
+                    else:
+                        victims = []
+                    for _score, _seq, chunk in victims:
+                        state = stats[chunk]
+                        dt = state.dt
+                        if not isinf(dt):
+                            iat = gamma * (now - state.t_last) + gamma1 * dt
+                            cost_serve += (
+                                _INF if unbounded else horizon / (1e-9 if 1e-9 > iat else iat)
+                            ) * future_unit
+                    if probe is not None:
+                        probe.on_margin(cost_redirect - cost_serve)
+                    if cost_serve > cost_redirect:
+                        put_back(victims)
+                    else:
+                        # Evict S'' (already out of the heap).
+                        for _score, _seq, chunk in victims:
+                            if probe is not None:
+                                probe.on_evict(now, chunk, stats[chunk].t_last)
+                            v, c = chunk
+                            numbers = video_chunks.get(v)
+                            if numbers is not None:
+                                numbers.discard(c)
+                                if not numbers:
+                                    del video_chunks[v]
+                            if keep_ghosts:
+                                gpop(chunk, None)
+                                gentries[chunk] = touched = now
+                            else:
+                                del stats[chunk]
+                            if scan is not None and v == video and c == scan[2]:
+                                scan = None
+
+                        # Admit S'.
+                        for chunk in missing:
+                            state = stats[chunk]
+                            dt = state.dt
+                            if isinf(dt):
+                                dt = _INF
+                                if use_video:
+                                    numbers = video_chunks.get(video)
+                                    if numbers:
+                                        if scan is None or scan[3]:
+                                            scan = _worst_sibling(stats, index, video, numbers, now)
+                                        dt = scan[0]
+                                if isinf(dt):
+                                    dt = self.cache_age(now)
+                                if isinf(dt):
+                                    dt = 1.0
+                                state.dt = dt
+                            key = -_INF if isinf(dt) else gamma * state.t_last - gamma1 * dt
+                            insert(chunk, key)
+                            if chunk in gentries:
+                                del gentries[chunk]
+                            numbers = video_chunks.get(video)
+                            if numbers is None:
+                                numbers = video_chunks[video] = set()
+                            numbers.add(chunk[1])
+                            if scan is not None and not key > scan[1]:
+                                scan = None
+                        self._collect_ghosts()
+                        if probe is not None:
+                            for chunk in missing:
+                                probe.on_fill(now, chunk)
+                            probe.on_serve(now, len(missing), len(victims))
+                        append(serve_response(len(missing), len(victims)))
+                        miss(i)
+                        continue
+
+            # Redirect (_redirect inlined): the uncached requested
+            # chunks' history stays on as ghosts unless ghost_factor is 0.
+            if keep_ghosts:
+                for chunk in missing:
+                    if chunk not in gentries:
+                        gentries[chunk] = touched = now
+                self._collect_ghosts()
+            else:
+                for chunk in missing:
+                    spop(chunk, None)
+            if probe is not None:
+                probe.on_redirect(now, reason)
+            append(REDIRECT)
+            miss(i)
+        if touched is not None:
+            ghosts.advance_time(touched)
+        return responses, misses
 
     def __contains__(self, chunk: ChunkId) -> bool:
         return chunk in self._cached

@@ -1,9 +1,9 @@
 """Shared numpy helpers for the per-cache block screens.
 
-Each cache with a hoisted block walk (the
+Each cache with a screened block walk (the
 :meth:`~repro.core.base.VideoCache.handle_span_block_kernel` overrides
-in :mod:`repro.core.xlru`, :mod:`repro.core.baselines` and
-:mod:`repro.core.policy`) has one walk, screened or not: on a
+in :mod:`repro.core.xlru` and :mod:`repro.core.policy`; Cafe's walk in
+:mod:`repro.core.cafe` has no screen) has one walk, screened or not: on a
 vectorized view it snapshots the mutable structures once per block,
 classifies as many requests as possible in whole-column numpy passes,
 and the walk skips the per-request work of every screened request;

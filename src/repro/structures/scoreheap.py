@@ -25,17 +25,22 @@ entry, its *anchor*, whose key is at or below the item's live
   heap.  Every other entry is *stale*: it was left by ``remove``/
   ``discard`` or by a re-key below the anchor, and is dropped when it
   surfaces at the top or during compaction;
-* wherever the heap is read from the top (``min_item``/``pop_min``,
-  ``n_smallest``, ``pop_n_smallest``), an anchor that surfaces below
-  its live key is replaced by an entry at the live key before anything
-  reads it.  Every live key is at or above its anchor, and every anchor
-  at or above the top, so a top entry at its live key is the true
-  minimum and the order stays exactly ascending ``(score, seq)``.  A
-  top entry whose seq is its item's live seq is that anchor at its live
-  key (each seq is pushed at most once), so the common case costs one
-  index lookup;
-* ``n_smallest`` pops live entries into a buffer and pushes the same
-  tuples back, discarding any stale entries it crosses;
+* wherever the heap is read from the top (``min_item``/``pop_min``
+  and ``take_n_smallest``, which ``n_smallest`` and ``pop_n_smallest``
+  go through), an anchor that surfaces below its live key is replaced
+  by an entry at the live key before anything reads it.  Every live key
+  is at or above its anchor, and every anchor at or above the top, so a
+  top entry at its live key is the true minimum and the order stays
+  exactly ascending ``(score, seq)``.  A top entry whose seq is its
+  item's live seq is that anchor at its live key (each seq is pushed at
+  most once), so the common case costs one index lookup;
+* ``take_n_smallest`` is the one victim-pop loop: it pops each victim's
+  anchor at its live key out of the heap, the index and the anchor map,
+  and returns those very entries.  Dropping them is an eviction run;
+  ``put_back`` restores them at their original ``(score, seq)``, which
+  are their live keys, so a take followed by a put-back changes the
+  heap's layout but not its order.  ``n_smallest`` is exactly that
+  peek, ``pop_n_smallest`` the drop;
 * when stale entries outnumber live ones the heap and the anchor map
   are rebuilt from the live index (amortized O(1) per mutation).
 
@@ -184,56 +189,28 @@ class ScoreHeap(Generic[T]):
         heappop(self._heap)
         return item, score
 
-    def n_smallest(self, n: int, exclude: Optional[set] = None) -> list[Tuple[T, float]]:
-        """Return up to ``n`` ``(item, score)`` pairs with the smallest
-        scores, skipping items in ``exclude``, without removing them.
-
-        For callers that may decide not to evict (Cafe's cost test and
-        ``explain``, Psychic); a run that always evicts takes
-        :meth:`pop_n_smallest`.
-        """
-        if n <= 0:
-            return []
-        out: list[Tuple[T, float]] = []
-        taken: list[Tuple[float, int, T]] = []
-        heap = self._heap
-        index = self._index
-        while heap and len(out) < n:
-            top = heap[0]
-            score, seq, item = top
-            key = index.get(item)
-            if key is None or key[1] != seq:
-                self._resettle(top, key)
-                continue
-            heappop(heap)
-            taken.append(top)
-            if exclude is None or item not in exclude:
-                out.append((item, score))
-        for entry in taken:
-            heappush(heap, entry)
-        return out
-
-    def pop_n_smallest(
+    def take_n_smallest(
         self, n: int, exclude: Optional[set] = None
-    ) -> list[Tuple[T, float]]:
-        """Remove and return up to ``n`` ``(item, score)`` pairs with the
-        smallest scores, skipping (and keeping) items in ``exclude``.
+    ) -> list[Tuple[float, int, T]]:
+        """Remove and return up to ``n`` ``(score, seq, item)`` entries
+        with the smallest keys, skipping (and keeping) items in
+        ``exclude``.
 
-        The fused form of an eviction run — ``n_smallest`` followed by
-        ``remove`` of every returned item — selecting exactly the same
-        victims in the same ``(score, seq)`` order, without pushing the
-        victims back only to re-surface them as stale entries.
+        Each returned entry is its item's anchor at its live key, taken
+        out of the heap, the index and the anchor map in one pop.  The
+        caller either drops the entries (an eviction run) or hands them,
+        with none of their items inserted since, to :meth:`put_back`.
         """
         if n <= 0:
             return []
-        out: list[Tuple[T, float]] = []
+        out: list[Tuple[float, int, T]] = []
         kept: list[Tuple[float, int, T]] = []
         heap = self._heap
         index = self._index
         anchor = self._anchor
         while heap and len(out) < n:
             top = heap[0]
-            score, seq, item = top
+            _score, seq, item = top
             key = index.get(item)
             if key is None or key[1] != seq:
                 self._resettle(top, key)
@@ -244,10 +221,48 @@ class ScoreHeap(Generic[T]):
                 continue
             del index[item]
             del anchor[item]
-            out.append((item, score))
+            out.append(top)
         for entry in kept:
             heappush(heap, entry)
         return out
+
+    def put_back(self, entries: list[Tuple[float, int, T]]) -> None:
+        """Restore entries from :meth:`take_n_smallest` at their original
+        ``(score, seq)``: the live keys and anchors they were taken at,
+        so every later read sees the order the take left untouched."""
+        heap = self._heap
+        index = self._index
+        anchor = self._anchor
+        for entry in entries:
+            score, seq, item = entry
+            index[item] = (score, seq)
+            anchor[item] = entry
+            heappush(heap, entry)
+
+    def n_smallest(self, n: int, exclude: Optional[set] = None) -> list[Tuple[T, float]]:
+        """Return up to ``n`` ``(item, score)`` pairs with the smallest
+        scores, skipping items in ``exclude``, without removing them.
+
+        A take put straight back.  For readers that only look: Cafe's
+        per-request reference walk and ``explain``, and Psychic.
+        """
+        entries = self.take_n_smallest(n, exclude)
+        self.put_back(entries)
+        return [(item, score) for score, _seq, item in entries]
+
+    def pop_n_smallest(
+        self, n: int, exclude: Optional[set] = None
+    ) -> list[Tuple[T, float]]:
+        """Remove and return up to ``n`` ``(item, score)`` pairs with the
+        smallest scores, skipping (and keeping) items in ``exclude``.
+
+        The ``(item, score)`` view of :meth:`take_n_smallest` with the
+        entries dropped: exactly the victims ``n_smallest`` followed by
+        ``remove`` of every returned item selects, in the same
+        ``(score, seq)`` order, without pushing the victims back only to
+        re-surface them as stale entries.
+        """
+        return [(item, score) for score, _seq, item in self.take_n_smallest(n, exclude)]
 
     def items_ascending(self) -> Iterator[Tuple[T, float]]:
         """Iterate all ``(item, score)`` pairs in ascending score order."""

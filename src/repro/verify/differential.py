@@ -48,13 +48,12 @@ __all__ = [
 
 #: Online algorithms whose block entry
 #: (:meth:`~repro.core.base.VideoCache.handle_span_block_kernel`) the
-#: fuzzer matrix checks against the per-request reference walk.  Every
-#: hoisted walk qualifies — xLRU and every registered policy on
-#: KernelCache, PullLRU and GDS among them (screen-less policies run
-#: the walk with every request undecided, which is still worth
-#: pinning) — plus Cafe, whose block entry is the base per-request walk
-#: itself.  ``LFU`` is the ``LFU-PK`` walk under another name, so it is
-#: checked once, as ``LFU-PK``.
+#: fuzzer matrix checks against the per-request reference walk: every
+#: hoisted walk — xLRU, Cafe and every registered policy on
+#: KernelCache, PullLRU and GDS among them (screen-less walks run with
+#: every request undecided, which is still worth pinning).  ``LFU`` is
+#: the ``LFU-PK`` walk under another name, so it is checked once, as
+#: ``LFU-PK``.
 KERNEL_ALGORITHMS = ("xLRU", "Cafe") + _policy_kernel_names()
 
 #: (decision value, filled_chunks, evicted_chunks, occupancy after)

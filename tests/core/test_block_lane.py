@@ -3,10 +3,11 @@
 Every block lane — the engine's blocks, the fleet's whole-shard edge
 batches and its leveled upstream buffers — makes one call per block
 into a cache's :meth:`~repro.core.base.VideoCache.handle_span_block_kernel`.
-xLRU, PullLRU, LFU and KernelCache override it with one hoisted walk,
-numpy-screened on a vectorized view (xLRU and KernelCache skip the
-screen while a probe is attached, and call the probe hooks inline);
-every other cache runs the base per-request walk.  The scenario rows
+xLRU, Cafe and KernelCache (which runs PullLRU, LFU and GDS) override
+it with one hoisted walk, numpy-screened on a vectorized view where the
+cache has a screen (xLRU and KernelCache skip it while a probe is
+attached); every walk calls the probe hooks inline, and every other
+cache runs the base per-request walk.  The scenario rows
 below drive the entry for every online cache on both views, with and
 without a probe, at four block sizes, and check it against per-request
 ``handle_span``: responses, the miss list, end state, the probe's hook
@@ -200,7 +201,9 @@ def test_only_the_base_defines_the_reference_walk():
     assert owners == {VideoCache}
 
 
-def test_cafe_defines_no_block_method():
-    """Cafe's block entry is the base per-request walk."""
+def test_cafe_overrides_only_the_block_entry():
+    """Cafe's block entry is its own hoisted walk, and its reference is
+    still the base per-request walk over ``handle_span``."""
+    assert "handle_span_block_kernel" in vars(CafeCache)
     assert "handle_span_block" not in vars(CafeCache)
-    assert "handle_span_block_kernel" not in vars(CafeCache)
+    assert "handle_span" in vars(CafeCache)

@@ -4,11 +4,15 @@
 sibling scan per request for the unseen-chunk video estimate, reused by
 the first-fill admits until an eviction, a tie or a low-keyed admit
 could change it; an early redirect when ``|S'| * C_F`` alone exceeds
-E[redirect]; and inlined EWMA, ghost and sibling-set bookkeeping.  Each
-row below drives one of those edges.  The last request of a row must
-actually reach its edge (checked before it runs), and every row checks
-the responses and the end state against the oracle, with and without a
-probe attached.
+E[redirect]; and inlined EWMA, ghost and sibling-set bookkeeping.  Its
+block walk, ``handle_span_block_kernel``, further takes each victim out
+of the heap once and puts it back only on a redirect, and writes the
+ghost list directly.  Each row below drives one of those edges.  The
+last request of a row (or each of its last few) must actually reach its
+edge (checked before it runs).  Every row checks the responses and the
+end state against the oracle, with and without a probe attached, and
+the block walk against ``handle_span``, as one block and as blocks of
+one, with and without a probe.
 """
 
 import pytest
@@ -19,8 +23,11 @@ from repro.core.costs import CostModel
 from repro.obs.probes import CafeProbe
 from repro.structures.ewma import EwmaIat, IatEstimator
 from repro.structures.scoreheap import ScoreHeap
+from repro.trace.columnar import pack_trace
 from repro.trace.requests import Request
 from repro.verify.oracles import OracleCafe
+
+from tests.core.test_block_lane import RecordingProbe as HookLog
 
 K = 1024
 
@@ -114,7 +121,37 @@ def served_with_evictions(cache, request):
     return explained.decision is Decision.SERVE and bool(explained.victims)
 
 
-#: (name, cache kwargs, requests, edge of the last request)
+def own_hits_excluded(cache, request):
+    """Victims picked past a cached chunk of the requested video that,
+    even after this request re-keys it, is less popular than a victim."""
+    explained = cache.explain(request)
+    if not explained.victims:
+        return False
+    gamma = cache._stats.gamma
+    worst = max(cache._cached.score(chunk) for chunk in explained.victims)
+    for chunk in request.chunk_ids(K):
+        if chunk in cache:
+            state = cache._stats[chunk]
+            shadow = EwmaIat(state.dt, state.t_last)
+            shadow.update(request.t, gamma)
+            if shadow.key(gamma) < worst:
+                return True
+    return False
+
+
+def hit_behind_the_ghost_guard(cache, request):
+    """A pure hit after the ghost list was last touched: the list's time
+    guard must stay at that earlier touch."""
+    ghosts = cache._ghosts
+    return (
+        len(ghosts) > 0
+        and ghosts._max_time < request.t
+        and all(chunk in cache for chunk in request.chunk_ids(K))
+    )
+
+
+#: (name, cache kwargs, requests, edge of the last request, or a tuple
+#: of edges for the last few requests in order)
 SCENARIOS = [
     (
         "same-timestamp repeats tie sibling keys",
@@ -184,6 +221,29 @@ SCENARIOS = [
             req(2.0, 3, 0),
         ],
         full_comparison_redirect,
+    ),
+    (
+        "victims put back after a full-comparison redirect, then evicted",
+        {"disk": 3, "alpha": 0.5},
+        [
+            req(0.0, 1, 1),
+            req(1.0, 2, 2, 3),
+            req(6.0, 3, 2, 3),
+            req(7.0, 2, 0, 1),
+        ],
+        (full_comparison_redirect, served_with_evictions),
+    ),
+    (
+        "a cached chunk of the requested video is excluded from the victims",
+        {"disk": 3, "alpha": 1.0},
+        [req(2.0, 2, 0), req(7.0, 1, 0, 1), req(8.0, 2, 0, 1)],
+        own_hits_excluded,
+    ),
+    (
+        "a pure hit after the last ghost-list touch",
+        {"disk": 2, "alpha": 1.0},
+        [req(1.0, 1, 1, 2), req(3.0, 2, 1, 2), req(4.0, 1, 1)],
+        hit_behind_the_ghost_guard,
     ),
     (
         "ghost_factor=0 drops the history of evicted and redirected chunks",
@@ -286,10 +346,14 @@ def _build(kwargs):
 )
 class TestScenarios:
     def test_last_request_reaches_its_edge(self, name, kwargs, requests, edge):
+        edges = edge if isinstance(edge, tuple) else (edge,)
+        first = len(requests) - len(edges)
         fast, _oracle = _build(kwargs)
-        for request in requests[:-1]:
+        for i, request in enumerate(requests):
+            if i >= first:
+                reached = edges[i - first]
+                assert reached(fast, request), reached.__doc__
             fast.handle(request)
-        assert edge(fast, requests[-1]), edge.__doc__
 
     def test_matches_oracle(self, name, kwargs, requests, edge):
         fast, oracle = _build(kwargs)
@@ -311,6 +375,33 @@ class TestScenarios:
         costed = [c for c in outcomes if c[0] == "redirect" and c[2] == "cost"]
         costed += [c for c in outcomes if c[0] == "serve" and c[2] > 0]
         assert len([c for c in probe.calls if c[0] == "margin"]) == len(costed)
+
+    @pytest.mark.parametrize("probed", [False, True], ids=["plain", "probed"])
+    @pytest.mark.parametrize("block", [None, 1], ids=["one-block", "blocks-of-one"])
+    def test_block_walk_matches_reference(
+        self, name, kwargs, requests, edge, block, probed
+    ):
+        """The hoisted walk against ``handle_span`` per request: the
+        responses, every structure in its iteration order, the ghost
+        list's time guard and the probe's hook calls."""
+        reference, _oracle = _build(kwargs)
+        walked, _oracle = _build(kwargs)
+        if probed:
+            reference.probe = HookLog()
+            walked.probe = HookLog()
+        want = [reference.handle(request) for request in requests]
+        packed = pack_trace(requests, chunk_bytes=K)
+        n = len(requests)
+        size = block or n
+        got = []
+        for lo in range(0, n, size):
+            got += walked.handle_span_block_kernel(packed.block_view(lo, min(lo + size, n)))[0]
+        assert got == want
+        assert _fast_state(walked) == _fast_state(reference)
+        assert walked._ghosts._max_time == reference._ghosts._max_time
+        if probed:
+            # repr: an unbounded horizon on both sides makes a NaN margin
+            assert repr(walked.probe.log) == repr(reference.probe.log)
 
 
 class TestWorstSibling:

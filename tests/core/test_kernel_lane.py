@@ -1,9 +1,10 @@
 """handle_span_block_kernel: the hoisted walks must mirror the reference.
 
-xLRU, PullLRU and KernelCache (which runs LFU and every registered
+xLRU, Cafe and KernelCache (which runs LFU and every registered
 policy) override
 :meth:`~repro.core.base.VideoCache.handle_span_block_kernel` with one
-hoisted walk behind a numpy screen (admission, residency).  The
+hoisted walk, behind a numpy screen (admission, residency) where the
+cache has one.  The
 contract is observable identity with the per-request reference
 :meth:`~repro.core.base.VideoCache.handle_span_block` — same
 responses, same end state, and with a probe attached the same hook
@@ -70,10 +71,8 @@ def replay_scalar_blocks(cache, packed, block: int):
     return responses
 
 
-@pytest.mark.parametrize("algo", [a for a in LANE_ALGORITHMS if a != "Cafe"])
+@pytest.mark.parametrize("algo", LANE_ALGORITHMS)
 def test_every_kernel_algorithm_overrides_the_entry_point(algo):
-    # Cafe's block entry is the base per-request walk
-    # (tests/core/test_block_lane.py pins that it defines none).
     cache = build_cache(algo, 8, chunk_bytes=K)
     assert (
         type(cache).handle_span_block_kernel
@@ -138,19 +137,18 @@ def test_kernel_state_keeps_evolving_identically(algo):
 def test_kernel_default_fallback_when_probe_attached(algo, monkeypatch):
     """With a probe attached each hoisted walk keeps running: it never
     calls ``handle_span``, and its hook log equals the per-request
-    reference's, call for call.  Cafe's block entry is that reference,
-    so Cafe is held to the log alone."""
+    reference's, call for call."""
     trace = adversarial_trace(seed=21, num_requests=200, disk_chunks=8)
     packed = pack_trace(trace, chunk_bytes=K)
     reference = build_cache(algo, 8, chunk_bytes=K)
     reference.probe = RecordingProbe()
     probed = build_cache(algo, 8, chunk_bytes=K)
     probed.probe = RecordingProbe()
-    if algo != "Cafe":
-        def refuse(*args):
-            raise AssertionError(f"the {algo} walk called handle_span")
 
-        monkeypatch.setattr(probed, "handle_span", refuse)
+    def refuse(*args):
+        raise AssertionError(f"the {algo} walk called handle_span")
+
+    monkeypatch.setattr(probed, "handle_span", refuse)
     want = replay_scalar_blocks(reference, packed, 50)
     got, misses_ok = replay_kernel(probed, packed, 50)
     assert got == want

@@ -2,9 +2,10 @@
 
 ScoreHeap is the lazy heap under the decision kernels; its observable
 contract is *exact* ascending ``(score, seq)`` order (each insert takes
-the next sequence number), plus two kernel-facing extensions:
-``raw_index`` (stable read-only key dict) and ``pop_n_smallest`` (fused
-eviction run).  Inside, each live item keeps one *anchor* entry at or
+the next sequence number), plus kernel-facing extensions: ``raw_index``
+(stable read-only key dict), ``take_n_smallest`` (the one victim-pop
+loop) with ``put_back``, and ``pop_n_smallest`` (the fused eviction
+run, a take whose entries are dropped).  Inside, each live item keeps one *anchor* entry at or
 below its live key, so a raise pushes nothing.
 """
 
@@ -224,6 +225,77 @@ class TestPopNSmallest:
         assert fused.raw_index() == split.raw_index()
         fused.check_invariants()
         split.check_invariants()
+
+
+#: inserts over a small item range, so re-keys (raises, lowers, equal
+#: scores) leave anchors below their live keys and stale entries behind
+INSERTS = st.lists(
+    st.tuples(st.integers(0, 15), st.floats(-100, 100, allow_nan=False)),
+    max_size=60,
+)
+
+
+def _twins(inserts):
+    a, b = ScoreHeap(), ScoreHeap()
+    for item, score in inserts:
+        a.insert(item, score)
+        b.insert(item, score)
+    return a, b
+
+
+def _drain(heap):
+    return [heap.pop_min() for _ in range(len(heap))]
+
+
+class TestTakeNSmallest:
+    @settings(max_examples=80)
+    @given(
+        inserts=INSERTS,
+        n=st.integers(0, 12),
+        exclude=st.sets(st.integers(0, 15), max_size=6),
+    )
+    def test_take_then_drop_equals_n_smallest_then_remove(self, inserts, n, exclude):
+        """Dropping the taken entries evicts what n_smallest + remove
+        evicts: the same victims in the same order, then the same pops."""
+        taken, split = _twins(inserts)
+        want = split.n_smallest(n, exclude=exclude)
+        for item, _score in want:
+            split.remove(item)
+        entries = taken.take_n_smallest(n, exclude=exclude)
+        assert [(item, score) for score, _seq, item in entries] == want
+        assert taken.raw_index() == split.raw_index()
+        taken.check_invariants()
+        split.check_invariants()
+        assert _drain(taken) == _drain(split)
+
+    @settings(max_examples=80)
+    @given(
+        inserts=INSERTS,
+        n=st.integers(0, 12),
+        exclude=st.sets(st.integers(0, 15), max_size=6),
+    )
+    def test_take_then_put_back_changes_no_later_read(self, inserts, n, exclude):
+        """Each taken entry is its item's live key, so putting it back
+        leaves every later pop, and the next seq, as they were."""
+        restored, untouched = _twins(inserts)
+        entries = restored.take_n_smallest(n, exclude=exclude)
+        live = untouched.raw_index()
+        assert [live[item] for _score, _seq, item in entries] == [
+            (score, seq) for score, seq, _item in entries
+        ]
+        restored.put_back(entries)
+        restored.check_invariants()
+        assert restored.raw_index() == untouched.raw_index()
+        restored.insert(99, 0.0)
+        untouched.insert(99, 0.0)
+        assert restored.raw_index()[99] == untouched.raw_index()[99]
+        assert _drain(restored) == _drain(untouched)
+
+    def test_n_zero_or_negative_takes_nothing(self):
+        h, _twin = _twins([(i, float(i)) for i in range(5)])
+        assert h.take_n_smallest(0) == []
+        assert h.take_n_smallest(-3) == []
+        assert len(h) == 5
 
 
 @settings(max_examples=60)

@@ -99,6 +99,24 @@ class ScoreHeapMachine(RuleBasedStateMachine):
         for item, _score in expected:
             del self.model[item]
 
+    @rule(n=st.integers(0, 8), exclude=st.none() | EXCLUDES, drop=st.booleans())
+    def take_n_smallest(self, n, exclude, drop):
+        """A take pops each victim's anchor once, at its live key: put
+        back, it changes no order; dropped, it leaves no stale entry."""
+        expected = self._ascending(exclude or ())[:n]
+        stale = self.heap._stale
+        entries = self.heap.take_n_smallest(n, exclude=exclude)
+        assert [(item, score) for score, _seq, item in entries] == expected
+        assert [(score, seq) for score, seq, _item in entries] == [
+            self.model[item] for item, _score in expected
+        ]
+        assert self.heap._stale <= stale
+        if drop:
+            for item, _score in expected:
+                del self.model[item]
+        else:
+            self.heap.put_back(entries)
+
     @invariant()
     def sizes_agree(self):
         assert len(self.heap) == len(self.model)
